@@ -55,7 +55,7 @@ def _base_spec() -> ExperimentSpec:
         experiment="logical_failure",
         noise=NoiseSpec(kind="uniform", physical_rates=(COARSE[0],)),
         sampling=SamplingSpec(shots=SHOTS, batch_size=64),
-        execution=ExecutionSpec(backend="uint8"),
+        execution=ExecutionSpec(backend="auto"),
     )
 
 

@@ -14,11 +14,11 @@ _README = Path(__file__).resolve().parent / "README.md"
 
 setup(
     name="repro-qla-arq",
-    version="1.7.0",
+    version="1.8.0",
     description=(
         "Reproduction of the QLA quantum architecture study: ion-trap model, "
-        "ARQ stabilizer simulator with batched execution engines behind a "
-        "pluggable backend registry, the paper's threshold/resource "
+        "ARQ stabilizer simulator with a fused bit-packed Monte-Carlo engine "
+        "behind a pluggable backend registry, the paper's threshold/resource "
         "experiments driven by declarative JSON specs, a design-space "
         "explorer with a content-addressed result cache, and an HTTP "
         "experiment service over a durable job queue"
@@ -31,9 +31,6 @@ setup(
     install_requires=["numpy"],
     extras_require={
         "test": ["pytest", "pytest-benchmark"],
-        # Optional JIT tier for the fused packed kernel; without it the
-        # engine compiles the bundled C kernel or falls back to numpy.
-        "numba": ["numba"],
         # The experiment service (repro.service / repro-serve) is pure
         # stdlib -- http.server + sqlite3 -- so the extra is empty on
         # purpose: `pip install repro-qla-arq[service]` documents intent

@@ -95,8 +95,8 @@ class RunResult:
     backend:
         Name of the registered strategy that executed the shots.
     engine:
-        Concrete tableau engine the batches ran on (``"packed"``, ``"uint8"``
-        or ``"scalar"``) -- the resolution of an ``"auto"`` request.
+        Engine the shots ran on (``"packed-fused"``, ``"scalar"``, or the
+        name of a third-party strategy run unsharded).
     seed_entropy:
         Root SeedSequence entropy of the run.
     num_shards:

@@ -31,11 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.arq.mapper import LayoutMapper
-from repro.arq.simulator import (
-    BatchedNoisyCircuitExecutor,
-    NoisyCircuitExecutor,
-    create_batch_tableau,
-)
+from repro.arq.simulator import BatchedNoisyCircuitExecutor, NoisyCircuitExecutor
 from repro.circuits import Circuit
 from repro.circuits.gate import OpKind
 from repro.exceptions import ParameterError
@@ -51,13 +47,11 @@ from repro.qecc.threshold import (
     fit_concatenation_coefficient,
 )
 from repro.stabilizer import (
-    BatchTableau,
+    FusedPackedBatchTableau,
     MonteCarloResult,
     NoiselessModel,
     OperationNoise,
     StabilizerTableau,
-    estimate_failure_rate,
-    estimate_failure_rate_batched,
 )
 
 __all__ = [
@@ -116,11 +110,6 @@ class Level1EccExperiment:
         The error-correcting code (Steane).
     verified_ancilla:
         Whether ancilla blocks are verified before use (the QLA design does).
-    backend:
-        Batched simulation engine for the Monte-Carlo paths:
-        ``"packed"`` (bit-packed uint64 words), ``"uint8"`` (byte per bit) or
-        ``"auto"`` (packed for batches of 64+ lanes).  Physics is identical;
-        only throughput differs.
     """
 
     noise: OperationNoise
@@ -128,7 +117,6 @@ class Level1EccExperiment:
     code: SteaneCode = field(default_factory=steane_code)
     verified_ancilla: bool = True
     max_preparation_attempts: int = 20
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         self._decoder = LookupDecoder(self.code)
@@ -151,10 +139,10 @@ class Level1EccExperiment:
         self._ideal_executor = NoisyCircuitExecutor(noise=NoiselessModel(), mapper=None)
         self._noisy_executor = NoisyCircuitExecutor(noise=self.noise, mapper=self.mapper)
         self._ideal_batch_executor = BatchedNoisyCircuitExecutor(
-            noise=NoiselessModel(), mapper=None, backend=self.backend
+            noise=NoiselessModel(), mapper=None
         )
         self._noisy_batch_executor = BatchedNoisyCircuitExecutor(
-            noise=self.noise, mapper=self.mapper, backend=self.backend
+            noise=self.noise, mapper=self.mapper
         )
         # Vectorized decoding: dense syndrome-indexed correction tables plus
         # the bit weights turning an (B, m) syndrome array into table indices
@@ -272,7 +260,7 @@ class Level1EccExperiment:
         }
 
     def _batch_attempt(self, rng: np.random.Generator, batch_size: int) -> dict[str, np.ndarray]:
-        state = create_batch_tableau(self.backend, self._register_size, batch_size, rng=rng)
+        state = FusedPackedBatchTableau(self._register_size, batch_size, rng=rng)
         # Ideal preparation of the logical |0>, then noisy gate + ECC cycle.
         self._ideal_batch_executor.run(self._prep_circuit, batch_size, rng, tableau=state)
         self._noisy_batch_executor.run(self._gate_circuit, batch_size, rng, tableau=state)
@@ -316,7 +304,7 @@ class Level1EccExperiment:
         check = self.code.hz if error_type == "X" else self.code.hx
         return (bits.astype(np.int64) @ check.T.astype(np.int64)) % 2
 
-    def _ideal_recovery_says_one_batch(self, state: BatchTableau) -> np.ndarray:
+    def _ideal_recovery_says_one_batch(self, state: FusedPackedBatchTableau) -> np.ndarray:
         """Batched ideal decode; ``(B,)`` bool, True where the logical value is 1.
 
         Lanes where any stabilizer expectation is random (state outside the
@@ -510,7 +498,7 @@ def _seeded_threshold_sweep(
     ``(seed, num_shards)`` reproduces bit for bit on any worker count.
     Returns ``(sweep, strategy_name, engine_name)``.
     """
-    from repro.api.registry import default_registry, task_engine_name
+    from repro.api.registry import default_registry
     from repro.parallel import Level1ShardTask, as_seed_sequence
 
     the_registry = registry if registry is not None else default_registry()
@@ -518,13 +506,8 @@ def _seeded_threshold_sweep(
     code = steane_code()
     register = (3 if verified_ancilla else 2) * code.num_physical_qubits
     strategy, engine = the_registry.resolve(
-        backend,
-        shots=trials,
-        batch_size=batch_size,
-        num_shards=num_shards,
-        num_qubits=register,
+        backend, num_shards=num_shards, num_qubits=register
     )
-    task_engine = task_engine_name(engine)
 
     root = as_seed_sequence(seed)
     entropy = root.entropy
@@ -536,7 +519,6 @@ def _seeded_threshold_sweep(
             physical_rate=float(rate),
             parameters=parameters,
             mapper=the_mapper,
-            backend=task_engine,
             verified_ancilla=verified_ancilla,
             max_preparation_attempts=max_preparation_attempts,
         )
@@ -611,8 +593,8 @@ def run_threshold_sweep(
         Worker processes executing shards; ``0``/``1`` runs them in-process.
         Never affects results, only wall-clock time.
     backend:
-        Execution backend name (``"packed"``, ``"uint8"`` or ``"auto"`` for
-        capability-based selection through the backend registry).
+        Execution backend name, resolved through the backend registry
+        (``"auto"`` runs the ``"packed-fused"`` engine).
     max_failures:
         Optional early stop per sweep point once this many failures are seen.
     """
@@ -652,30 +634,24 @@ def run_threshold_sweep(
 
     # Legacy generator-driven path: one shared stream across sweep points, no
     # shard plan, no recorded entropy.
+    from repro.api.registry import default_registry
+    from repro.parallel import Level1ShardTask
+
+    strategy, _ = default_registry().resolve(
+        backend if use_batched else "scalar",
+        num_qubits=3 * steane_code().num_physical_qubits,
+    )
     generator = rng if rng is not None else np.random.default_rng()
-    level1_results = []
-    for rate in physical_rates:
-        experiment = Level1EccExperiment(
-            noise=_noise_for_rate(rate, parameters),
-            mapper=the_mapper,
-            backend=backend,
+    level1_results = [
+        strategy.estimate(
+            Level1ShardTask(physical_rate=float(rate), parameters=parameters, mapper=the_mapper),
+            trials,
+            rng=generator,
+            batch_size=batch_size,
+            max_failures=max_failures,
         )
-        if use_batched:
-            level1_results.append(
-                estimate_failure_rate_batched(
-                    experiment.run_trial_batch,
-                    trials,
-                    generator,
-                    batch_size=batch_size,
-                    max_failures=max_failures,
-                )
-            )
-        else:
-            level1_results.append(
-                estimate_failure_rate(
-                    experiment.run_trial, trials, generator, max_failures=max_failures
-                )
-            )
+        for rate in physical_rates
+    ]
     return sweep_result_from_level1(physical_rates, level1_results)
 
 
@@ -743,22 +719,19 @@ def syndrome_rate_estimate(
         # The execution strategy comes from the backend registry
         # (capability-based) instead of the old use_batched branching; the
         # per-shot oracle stays reachable as the "scalar" strategy.
-        from repro.api.registry import default_registry, task_engine_name
+        from repro.api.registry import default_registry
         from repro.parallel import Level1ShardTask
 
         registry = default_registry()
         code = steane_code()
-        strategy, engine = registry.resolve(
+        strategy, _ = registry.resolve(
             backend if use_batched else "scalar",
-            shots=monte_carlo_trials,
-            batch_size=batch_size,
             num_qubits=3 * code.num_physical_qubits,
         )
         task = Level1ShardTask(
             physical_rate=0.0,
             parameters=parameters,
             mapper=the_mapper,
-            backend=task_engine_name(engine),
             noise_kind="technology",
             metric="nontrivial_syndrome",
         )

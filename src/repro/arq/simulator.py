@@ -16,9 +16,10 @@ Two executors share those semantics:
   once and the mapping cached, so repeated shots of the same circuit pay no
   per-shot mapping cost.
 * :class:`BatchedNoisyCircuitExecutor` runs ``B`` independent noisy shots
-  simultaneously on a :class:`~repro.stabilizer.batch.BatchTableau`, driving a
-  compiled circuit IR (:mod:`repro.circuits.compiled`) with vectorized noise
-  sampling -- the engine behind the Monte-Carlo experiments.
+  simultaneously on bit-packed state, executing a compiled circuit IR
+  (:mod:`repro.circuits.compiled`) through the fused kernel
+  (:mod:`repro.stabilizer.fused`) -- the engine behind the Monte-Carlo
+  experiments.
 """
 
 from __future__ import annotations
@@ -30,74 +31,25 @@ import numpy as np
 
 from repro.arq.mapper import LayoutMapper, MappedCircuit
 from repro.circuits import Circuit
-from repro.circuits.compiled import (
-    CompiledCircuit,
-    Opcode,
-    compile_circuit,
-    require_simulable,
-)
+from repro.circuits.compiled import CompiledCircuit, compile_circuit, require_simulable
 from repro.circuits.gate import OpKind
 from repro.exceptions import SimulationError
 from repro.pauli import PauliString, PauliTerm
 from repro.stabilizer import (
-    BatchTableau,
     FusedPackedBatchTableau,
     NoiseModel,
     NoiselessModel,
     PackedBatchTableau,
     StabilizerTableau,
-    unpack_bits,
 )
 from repro.stabilizer.fused import execute_fused
 
 __all__ = [
-    "BACKENDS",
-    "AUTO_PACKED_MIN_BATCH",
-    "resolve_backend",
-    "create_batch_tableau",
     "ExecutionResult",
     "BatchExecutionResult",
     "NoisyCircuitExecutor",
     "BatchedNoisyCircuitExecutor",
 ]
-
-#: Valid values of the batched executor's ``backend`` knob.
-BACKENDS = ("auto", "packed", "packed-fused", "uint8")
-
-#: Smallest batch size at which ``backend="auto"`` picks the bit-packed
-#: engine.  The backend registry owns this threshold as the packed engine's
-#: ``min_auto_batch`` capability; re-exported here as a compatibility alias.
-from repro.api.registry import AUTO_PACKED_MIN_BATCH
-
-
-def resolve_backend(backend: str, batch_size: int) -> str:
-    """Resolve a backend request to a concrete engine name.
-
-    ``"packed"`` and ``"uint8"`` are honoured verbatim; ``"auto"`` consults
-    the backend registry's capability thresholds, which pick the bit-packed
-    engine once the batch fills at least one 64-lane word.
-    """
-    from repro.api.registry import resolve_engine
-
-    return resolve_engine(backend, batch_size)
-
-
-def create_batch_tableau(
-    backend: str,
-    num_qubits: int,
-    batch_size: int,
-    rng: np.random.Generator | None = None,
-) -> BatchTableau | PackedBatchTableau:
-    """Create the batch tableau matching a (possibly ``"auto"``) backend."""
-    resolved = resolve_backend(backend, batch_size)
-    if resolved == "packed-fused":
-        cls = FusedPackedBatchTableau
-    elif resolved == "packed":
-        cls = PackedBatchTableau
-    else:
-        cls = BatchTableau
-    return cls(num_qubits, batch_size, rng=rng)
-
 
 @dataclass
 class ExecutionResult:
@@ -133,8 +85,7 @@ class BatchExecutionResult:
     Attributes
     ----------
     tableau:
-        Final batched stabilizer state (uint8 or bit-packed, depending on the
-        backend that ran).
+        Final batched (bit-packed) stabilizer state.
     measurements:
         Measurement outcomes keyed by label; each value is a ``(B,)`` uint8
         array of per-lane outcomes.  Unlabeled measurements are keyed
@@ -143,7 +94,7 @@ class BatchExecutionResult:
         ``(B,)`` int64 array counting Pauli error events injected per lane.
     """
 
-    tableau: BatchTableau | PackedBatchTableau
+    tableau: PackedBatchTableau
     measurements: dict[str, np.ndarray] = field(default_factory=dict)
     error_count: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
@@ -299,10 +250,11 @@ class BatchedNoisyCircuitExecutor:
 
     The executor compiles each circuit once (movement exposure from the layout
     mapper baked in, see :func:`repro.circuits.compiled.compile_circuit`) and
-    then drives a :class:`~repro.stabilizer.batch.BatchTableau` with one loop
-    over *operations* instead of one loop over *shots x operations*: every
-    gate, reset, measurement and noise draw acts on the whole batch through
-    vectorized numpy column operations.
+    runs the whole program on a
+    :class:`~repro.stabilizer.fused.FusedPackedBatchTableau` in one fused
+    kernel call (:func:`~repro.stabilizer.fused.execute_fused`): every gate,
+    reset, measurement and noise draw acts on the whole batch, 64 lanes per
+    machine word.
 
     Semantics match :class:`NoisyCircuitExecutor` lane for lane: movement
     errors precede the operation that required the shuttle, gate/preparation
@@ -318,32 +270,15 @@ class BatchedNoisyCircuitExecutor:
         an operation in one RNG call.
     mapper:
         Layout mapper supplying movement budgets; None disables movement noise.
-    backend:
-        Simulation engine: ``"uint8"`` drives the byte-per-bit
-        :class:`~repro.stabilizer.batch.BatchTableau`, ``"packed"`` the
-        64-lanes-per-word :class:`~repro.stabilizer.packed.PackedBatchTableau`,
-        ``"packed-fused"`` the same packed state executed by the fused native
-        kernel tier (:mod:`repro.stabilizer.fused`), and ``"auto"`` (default)
-        picks the fastest engine for batches of at least
-        ``AUTO_PACKED_MIN_BATCH`` lanes -- the fused tier when a native
-        kernel (numba or a C compiler) is available, the packed engine
-        otherwise.  All engines implement the same CHP semantics and consume
-        identical RNG streams; they differ only in throughput.
     """
 
     def __init__(
         self,
         noise: NoiseModel | None = None,
         mapper: LayoutMapper | None = None,
-        backend: str = "auto",
     ) -> None:
-        if backend not in BACKENDS:
-            raise SimulationError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         self._noise = noise if noise is not None else NoiselessModel()
         self._mapper = mapper
-        self._backend = backend
         # Weak keys for the same reason as the per-shot mapped-circuit cache:
         # entries die with their circuit, so id reuse cannot serve a stale
         # compiled program and the cache stays bounded.
@@ -373,8 +308,7 @@ class BatchedNoisyCircuitExecutor:
         circuit: Circuit | CompiledCircuit,
         batch_size: int,
         rng: np.random.Generator,
-        tableau: BatchTableau | PackedBatchTableau | None = None,
-        backend: str | None = None,
+        tableau: PackedBatchTableau | None = None,
     ) -> BatchExecutionResult:
         """Run ``batch_size`` independent noisy shots of a circuit.
 
@@ -389,34 +323,23 @@ class BatchedNoisyCircuitExecutor:
             Random generator for measurement randomness and noise, shared by
             all lanes (each draw produces one value per lane).
         tableau:
-            Optional pre-initialised batched state; a fresh all-|0> batch is
-            created when omitted.  Its batch size must equal ``batch_size``
-            and its type decides the engine that runs (a passed-in state
-            always wins over the backend knob).
-        backend:
-            Optional per-call override of the executor's backend.
+            Optional pre-initialised bit-packed state; a fresh all-|0> batch
+            is created when omitted.  Its batch size must equal
+            ``batch_size``.
         """
         program = circuit if isinstance(circuit, CompiledCircuit) else self.compile(circuit)
         require_simulable(program)
         if batch_size <= 0:
             raise SimulationError("batch_size must be positive")
-        requested = backend if backend is not None else self._backend
-        if tableau is not None:
+        if tableau is None:
+            state = FusedPackedBatchTableau(program.num_qubits, batch_size, rng=rng)
+        elif isinstance(tableau, PackedBatchTableau):
             state = tableau
-            if isinstance(state, FusedPackedBatchTableau):
-                resolved = "packed-fused"
-            elif isinstance(state, PackedBatchTableau):
-                resolved = "packed"
-            else:
-                resolved = "uint8"
-            if requested != "auto" and requested != resolved:
-                raise SimulationError(
-                    f"backend {requested!r} conflicts with a pre-initialised "
-                    f"{type(state).__name__} tableau"
-                )
         else:
-            resolved = resolve_backend(requested, batch_size)
-            state = create_batch_tableau(resolved, program.num_qubits, batch_size, rng=rng)
+            raise SimulationError(
+                f"the batched executor runs on bit-packed state, not "
+                f"{type(tableau).__name__}"
+            )
         if state.batch_size != batch_size:
             raise SimulationError(
                 f"tableau batch size {state.batch_size} does not match requested "
@@ -427,221 +350,9 @@ class BatchedNoisyCircuitExecutor:
                 f"tableau has {state.num_qubits} qubits but the circuit needs "
                 f"{program.num_qubits}"
             )
-        if resolved == "packed-fused":
-            return self._run_fused(program, batch_size, rng, state)
-        if resolved == "packed":
-            return self._run_packed(program, batch_size, rng, state)
-        return self._run_uint8(program, batch_size, rng, state)
-
-    def _run_fused(
-        self,
-        program: CompiledCircuit,
-        batch_size: int,
-        rng: np.random.Generator,
-        state: PackedBatchTableau,
-    ) -> BatchExecutionResult:
-        """Drive the fused kernel tier (whole circuit in one native loop).
-
-        Bit-for-bit identical to :meth:`_run_packed` on the same seeds: the
-        fused module pre-samples all measurement randomness and noise in the
-        packed engine's exact RNG order before launching the kernel.
-        """
         measurements, error_count = execute_fused(
             program, batch_size, rng, state, self._noise
         )
-        return BatchExecutionResult(
-            tableau=state, measurements=measurements, error_count=error_count
-        )
-
-    def _run_uint8(
-        self,
-        program: CompiledCircuit,
-        batch_size: int,
-        rng: np.random.Generator,
-        state: BatchTableau,
-    ) -> BatchExecutionResult:
-        """Drive the byte-per-bit engine (one uint8 per tableau bit)."""
-        noise = self._noise
-        noiseless = noise.is_noiseless
-        error_count = np.zeros(batch_size, dtype=np.int64)
-        outcomes = np.zeros((program.num_measurements, batch_size), dtype=np.uint8)
-
-        opcodes = program.opcodes
-        qubit0 = program.qubit0
-        qubit1 = program.qubit1
-        exposure = program.movement_exposure
-        moved = program.moved_qubit
-        slots = program.measurement_slot
-
-        for k in range(program.num_operations):
-            op = int(opcodes[k])
-            q0 = int(qubit0[k])
-
-            if not noiseless and exposure[k] > 0:
-                support, x_bits, z_bits, events = noise.sample_movement_error_batch(
-                    int(moved[k]), int(exposure[k]), batch_size, rng
-                )
-                if events.any():
-                    state.inject_pauli_terms(support, x_bits, z_bits)
-                    error_count += events
-
-            if op == Opcode.PREPARE:
-                state.reset(q0)
-                if not noiseless:
-                    support, x_bits, z_bits, events = noise.sample_preparation_error_batch(
-                        q0, batch_size, rng
-                    )
-                    if events.any():
-                        state.inject_pauli_terms(support, x_bits, z_bits)
-                        error_count += events
-            elif op == Opcode.MEASURE or op == Opcode.MEASURE_X:
-                measured = state.measure(q0) if op == Opcode.MEASURE else state.measure_x(q0)
-                if not noiseless:
-                    flips = noise.measurement_flip_batch(batch_size, rng)
-                    if flips.any():
-                        measured = measured ^ flips.astype(np.uint8)
-                        error_count += flips.astype(np.int64)
-                outcomes[int(slots[k])] = measured
-            else:
-                q1 = int(qubit1[k])
-                if op == Opcode.I:
-                    pass  # no state update, but gate noise still applies below
-                elif op == Opcode.H:
-                    state.h(q0)
-                elif op == Opcode.S:
-                    state.s(q0)
-                elif op == Opcode.SDG:
-                    state.s_dag(q0)
-                elif op == Opcode.X:
-                    state.x(q0)
-                elif op == Opcode.Y:
-                    state.y(q0)
-                elif op == Opcode.Z:
-                    state.z(q0)
-                elif op == Opcode.CNOT:
-                    state.cnot(q0, q1)
-                elif op == Opcode.CZ:
-                    state.cz(q0, q1)
-                elif op == Opcode.SWAP:
-                    state.swap(q0, q1)
-                else:  # pragma: no cover - compile_circuit rejects unknown ops
-                    raise SimulationError(f"unknown opcode {op}")
-                if not noiseless:
-                    operands = (q0,) if q1 < 0 else (q0, q1)
-                    name = Opcode(op).name
-                    support, x_bits, z_bits, events = noise.sample_gate_error_batch(
-                        name, operands, batch_size, rng
-                    )
-                    if events.any():
-                        state.inject_pauli_terms(support, x_bits, z_bits)
-                        error_count += events
-
-        measurements = {
-            label: outcomes[slot] for slot, label in enumerate(program.measurement_labels)
-        }
-        return BatchExecutionResult(
-            tableau=state, measurements=measurements, error_count=error_count
-        )
-
-    def _run_packed(
-        self,
-        program: CompiledCircuit,
-        batch_size: int,
-        rng: np.random.Generator,
-        state: PackedBatchTableau,
-    ) -> BatchExecutionResult:
-        """Drive the bit-packed engine (64 lanes per uint64 word).
-
-        Semantically identical to :meth:`_run_uint8` lane for lane; noise is
-        sampled through the packed hooks, Pauli masks are injected as word
-        masks, and measurement outcomes are collected packed and unpacked once
-        at the end into the same per-label ``(B,)`` uint8 arrays.
-        """
-        noise = self._noise
-        noiseless = noise.is_noiseless
-        error_count = np.zeros(batch_size, dtype=np.int64)
-        outcome_words = np.zeros(
-            (program.num_measurements, state.num_lane_words), dtype=np.uint64
-        )
-
-        opcodes = program.opcodes
-        qubit0 = program.qubit0
-        qubit1 = program.qubit1
-        exposure = program.movement_exposure
-        moved = program.moved_qubit
-        slots = program.measurement_slot
-
-        for k in range(program.num_operations):
-            op = int(opcodes[k])
-            q0 = int(qubit0[k])
-
-            if not noiseless and exposure[k] > 0:
-                support, x_words, z_words, event_words = noise.sample_movement_error_packed(
-                    int(moved[k]), int(exposure[k]), batch_size, rng
-                )
-                if event_words.any():
-                    state.inject_pauli_words(support, x_words, z_words)
-                    error_count += unpack_bits(event_words, batch_size)
-
-            if op == Opcode.PREPARE:
-                state.reset(q0)
-                if not noiseless:
-                    support, x_words, z_words, event_words = (
-                        noise.sample_preparation_error_packed(q0, batch_size, rng)
-                    )
-                    if event_words.any():
-                        state.inject_pauli_words(support, x_words, z_words)
-                        error_count += unpack_bits(event_words, batch_size)
-            elif op == Opcode.MEASURE or op == Opcode.MEASURE_X:
-                measured = (
-                    state.measure_packed(q0)
-                    if op == Opcode.MEASURE
-                    else state.measure_x_packed(q0)
-                )
-                if not noiseless:
-                    flip_words = noise.measurement_flip_packed(batch_size, rng)
-                    if flip_words.any():
-                        measured = measured ^ flip_words
-                        error_count += unpack_bits(flip_words, batch_size)
-                outcome_words[int(slots[k])] = measured
-            else:
-                q1 = int(qubit1[k])
-                if op == Opcode.I:
-                    pass  # no state update, but gate noise still applies below
-                elif op == Opcode.H:
-                    state.h(q0)
-                elif op == Opcode.S:
-                    state.s(q0)
-                elif op == Opcode.SDG:
-                    state.s_dag(q0)
-                elif op == Opcode.X:
-                    state.x(q0)
-                elif op == Opcode.Y:
-                    state.y(q0)
-                elif op == Opcode.Z:
-                    state.z(q0)
-                elif op == Opcode.CNOT:
-                    state.cnot(q0, q1)
-                elif op == Opcode.CZ:
-                    state.cz(q0, q1)
-                elif op == Opcode.SWAP:
-                    state.swap(q0, q1)
-                else:  # pragma: no cover - compile_circuit rejects unknown ops
-                    raise SimulationError(f"unknown opcode {op}")
-                if not noiseless:
-                    operands = (q0,) if q1 < 0 else (q0, q1)
-                    name = Opcode(op).name
-                    support, x_words, z_words, event_words = noise.sample_gate_error_packed(
-                        name, operands, batch_size, rng
-                    )
-                    if event_words.any():
-                        state.inject_pauli_words(support, x_words, z_words)
-                        error_count += unpack_bits(event_words, batch_size)
-
-        measurements = {
-            label: unpack_bits(outcome_words[slot], batch_size)
-            for slot, label in enumerate(program.measurement_labels)
-        }
         return BatchExecutionResult(
             tableau=state, measurements=measurements, error_count=error_count
         )

@@ -174,8 +174,9 @@ class CompiledCircuit:
 
         Returns ``(opcodes, qubit0, qubit1, movement_exposure, moved_qubit,
         measurement_slot)``, each C-contiguous int32 so a compiled consumer
-        (numba or ctypes) can walk them without per-element conversion.  The
-        views share memory with the originals whenever dtypes already match.
+        (the ctypes-loaded C kernel) can walk them without per-element
+        conversion.  The views share memory with the originals whenever dtypes
+        already match.
         """
         return (
             np.ascontiguousarray(self.opcodes, dtype=np.int32),

@@ -333,8 +333,6 @@ class Level1ShardTask:
         for technology noise, every rate).
     mapper:
         Layout mapper charging movement to two-qubit gates.
-    backend:
-        Batched engine selection forwarded to the experiment.
     noise_kind:
         ``"uniform"`` sweeps all component rates together (movement pinned);
         ``"technology"`` applies the parameter set's rates verbatim.
@@ -349,7 +347,6 @@ class Level1ShardTask:
     physical_rate: float
     parameters: IonTrapParameters = EXPECTED_PARAMETERS
     mapper: LayoutMapper = field(default_factory=LayoutMapper)
-    backend: str = "auto"
     noise_kind: str = "uniform"
     verified_ancilla: bool = True
     max_preparation_attempts: int = 20
@@ -381,7 +378,6 @@ class Level1ShardTask:
             experiment = Level1EccExperiment(
                 noise=noise,
                 mapper=self.mapper,
-                backend=self.backend,
                 verified_ancilla=self.verified_ancilla,
                 max_preparation_attempts=self.max_preparation_attempts,
             )

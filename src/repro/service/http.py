@@ -298,6 +298,14 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> ExperimentService:
         return self.server.service  # type: ignore[attr-defined]
 
+    def finish(self) -> None:
+        # Each client connection gets a fresh handler thread; release the
+        # store connection that thread opened before it exits.
+        try:
+            super().finish()
+        finally:
+            self.service.store.release_thread_connection()
+
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         # Quiet by default: the service is driven by tests and scripts; a
         # per-request stderr line is noise there and a log-injection

@@ -311,6 +311,21 @@ class JobStore:
     def _transaction(self) -> "JobStore._Tx":
         return JobStore._Tx(self._connection())
 
+    def release_thread_connection(self) -> None:
+        """Close the calling thread's connection, if it opened one.
+
+        Short-lived threads (the HTTP server runs each client connection on a
+        new thread) call this when they finish, so the open connections stay
+        bounded by the live threads instead of growing with every request.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            return
+        del self._local.conn
+        with self._connections_lock:
+            self._connections.discard(conn)
+        conn.close()
+
     def close(self) -> None:
         """Close every connection this store opened (any thread's)."""
         with self._connections_lock:

@@ -10,7 +10,6 @@ circuits under Pauli noise.
 """
 
 from repro.stabilizer.tableau import StabilizerTableau, MeasurementResult
-from repro.stabilizer.batch import BatchTableau
 from repro.stabilizer.packed import (
     PackedBatchTableau,
     lane_mask_words,
@@ -39,7 +38,6 @@ from repro.stabilizer.monte_carlo import (
 
 __all__ = [
     "StabilizerTableau",
-    "BatchTableau",
     "PackedBatchTableau",
     "FusedPackedBatchTableau",
     "execute_fused",

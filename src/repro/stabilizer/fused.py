@@ -1,15 +1,15 @@
-"""Fused native kernel tier for the bit-packed Monte-Carlo engine.
+"""The Monte-Carlo engine: compiled circuits on packed state in one fused loop.
 
-:class:`~repro.stabilizer.packed.PackedBatchTableau` made every tableau
-operation a handful of word-wise numpy kernels, but the batched executor still
-returns to the Python interpreter between every operation of the compiled IR:
-per gate it pays a dozen numpy dispatches, and measurements walk Python loops
-over tableau rows.  This module removes that per-operation interpreter traffic
-by executing the *entire compiled circuit* in one native loop per batch:
+:class:`~repro.stabilizer.packed.PackedBatchTableau` makes every tableau
+operation a handful of word-wise numpy kernels, but driving it one operation
+at a time returns to the Python interpreter between every operation of the
+compiled IR: per gate a dozen numpy dispatches, and measurements walk Python
+loops over tableau rows.  This module removes that per-operation interpreter
+traffic by executing the *entire compiled circuit* in one loop per batch:
 gates, Pauli noise injection from pre-sampled packed masks, resets and Z/X
 measurements with mod-4 phase accumulation.
 
-The design rests on a structural invariant of the packed engine
+The design rests on a structural invariant of the packed state
 ("lane uniformity"): every public ``PackedBatchTableau`` operation keeps the X
 and Z bit-planes *identical across lanes* -- noise injection and measurement
 randomness only ever touch the sign words ``r``.  Gates condition their sign
@@ -27,21 +27,24 @@ of magnitude less work than the per-lane word arithmetic it replaces.
 Because the X/Z evolution is noise-independent, the random-vs-deterministic
 measurement schedule of a circuit is a pure function of the program and the
 initial X/Z planes; it is recorded once by a cheap ``W=1`` kernel pass and
-cached, which lets all measurement randomness and noise be pre-sampled in the
-packed engine's exact RNG order before the kernel launches.  Seeded runs are
-bit-for-bit identical to the ``"packed"`` backend.
+cached, which lets all measurement randomness and noise be pre-sampled before
+the kernel launches, in the order a per-operation loop over the packed state
+would draw them: per operation, movement noise, then the random measurement
+words, then the gate / preparation / measurement-flip noise.  That loop is
+kept as the test suite's reference (``tests/packed_reference.py``) and seeded
+runs are bit-for-bit identical to it.
 
-Three interchangeable kernels implement the loop, all with the same signature:
+Two kernel tiers implement the loop, with the same signature:
 
-* :func:`fused_kernel_python` -- the nopython-style reference loop, compiled
-  with ``numba.njit(cache=True, parallel=False)`` when numba is importable;
 * a small C translation (``fused_kernel.c``) compiled on demand with the
-  system C compiler and loaded through ctypes, for environments without numba;
+  system C compiler and loaded through ctypes;
 * :func:`fused_kernel_numpy` -- a pure-numpy vectorized fallback so the
-  module imports and runs (slower) with no compiler and no numba at all.
+  module imports and runs (slower, bit-identical) with no compiler at all.
 
-``REPRO_FUSED_KERNEL`` selects the tier explicitly (``auto`` / ``numba`` /
-``cext`` / ``numpy``); ``auto`` takes the first available in that order.
+:func:`fused_kernel_python` is the plain-loop statement of the same semantics,
+kept as the oracle the tests check both tiers against.
+``REPRO_FUSED_KERNEL`` selects the tier explicitly (``auto`` / ``cext`` /
+``numpy``); ``auto`` takes the C tier when it builds and numpy otherwise.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ SUPPORTED_OPCODES: frozenset[int] = frozenset(
 )
 
 #: Kernel tiers, in ``auto`` preference order.
-KERNEL_TIERS = ("numba", "cext", "numpy")
+KERNEL_TIERS = ("cext", "numpy")
 
 #: CHP ``g`` phase function as a 4x4 table over symplectic codes
 #: ``(x << 1) | z`` (I=0, Z=1, X=2, Y=3); entries are the phase contribution
@@ -130,7 +133,7 @@ _G4 = np.array(
     dtype=np.int64,
 )
 
-# Kernel status codes (shared by all three tiers and the C source).
+# Kernel status codes (shared by both tiers, the Python oracle and the C source).
 _STATUS_OK = 0
 _STATUS_UNKNOWN_OPCODE = 1
 _STATUS_SCHEDULE_MISMATCH = 2
@@ -413,32 +416,6 @@ def fused_kernel_python(
 
 
 # ----------------------------------------------------------------------
-# Numba tier
-# ----------------------------------------------------------------------
-
-_NUMBA_KERNEL = None
-_NUMBA_ERROR: str | None = None
-
-
-def _numba_kernel():
-    """The njit-compiled reference loop, or None with a recorded reason."""
-    global _NUMBA_KERNEL, _NUMBA_ERROR
-    if _NUMBA_KERNEL is not None or _NUMBA_ERROR is not None:
-        return _NUMBA_KERNEL
-    try:
-        import numba
-    except ImportError:
-        _NUMBA_ERROR = "numba is not installed"
-        return None
-    try:
-        _NUMBA_KERNEL = numba.njit(cache=True, parallel=False)(fused_kernel_python)
-    except Exception as exc:  # pragma: no cover - depends on numba version
-        _NUMBA_ERROR = f"numba compilation failed: {exc}"
-        return None
-    return _NUMBA_KERNEL
-
-
-# ----------------------------------------------------------------------
 # Numpy fallback tier (identical signature, vectorized over rows)
 # ----------------------------------------------------------------------
 
@@ -555,8 +532,8 @@ def fused_kernel_numpy(
     """Pure-numpy fallback with the same signature as the native kernels.
 
     Each operation is a handful of vectorized updates over the ``2n+1``
-    tableau rows; used when neither numba nor a C compiler is available (and
-    as an always-importable cross-check for the native tiers).
+    tableau rows; used when no C compiler is available (and as an
+    always-importable cross-check for the C tier).
     """
     for k in range(opcodes.shape[0]):
         op = int(opcodes[k])
@@ -771,7 +748,7 @@ _TIER_CACHE: dict[str, str] = {}
 
 
 def kernel_tier() -> str:
-    """The kernel tier in effect: ``"numba"``, ``"cext"`` or ``"numpy"``.
+    """The kernel tier in effect: ``"cext"`` or ``"numpy"``.
 
     Controlled by the ``REPRO_FUSED_KERNEL`` environment variable (``auto``,
     the default, takes the first available tier in :data:`KERNEL_TIERS`
@@ -802,23 +779,16 @@ def kernel_tier() -> str:
         # Behave exactly as if no native kernel had compiled: explicit
         # native requests fail loudly, "auto"/"numpy" degrade to the
         # pure-numpy fallback (which is bit-identical, just slower).
-        if requested in ("numba", "cext"):
+        if requested == "cext":
             raise SimulationError(
                 f"REPRO_FUSED_KERNEL={requested}: injected native-kernel "
                 "failure (repro.faults kernel.native site)"
             )
         return "numpy"
-    if requested == "numba" and _numba_kernel() is None:
-        raise SimulationError(f"REPRO_FUSED_KERNEL=numba: {_NUMBA_ERROR}")
     if requested == "cext" and _cext_kernel() is None:
         raise SimulationError(f"REPRO_FUSED_KERNEL=cext: {_CEXT_ERROR}")
     if requested == "auto":
-        if _numba_kernel() is not None:
-            tier = "numba"
-        elif _cext_kernel() is not None:
-            tier = "cext"
-        else:
-            tier = "numpy"
+        tier = "cext" if _cext_kernel() is not None else "numpy"
     else:
         tier = requested
     if not fault_gated:
@@ -827,22 +797,18 @@ def kernel_tier() -> str:
 
 
 def native_kernel_available() -> bool:
-    """Whether a native (numba or compiled-C) kernel tier is usable.
+    """Whether the compiled-C kernel tier is in effect.
 
-    The backend registry consults this probe when deciding whether ``auto``
-    should prefer ``"packed-fused"`` over ``"packed"``: with only the numpy
-    fallback available the packed engine keeps the auto slot, while the fused
-    backend stays registered for explicit requests.
+    Informational only (benchmarks record it): both tiers produce identical
+    results, and the engine runs on whichever one :func:`kernel_tier` picks.
     """
     try:
-        return kernel_tier() in ("numba", "cext")
+        return kernel_tier() == "cext"
     except SimulationError:
         return False
 
 
 def _run_kernel(tier: str, *args) -> int:
-    if tier == "numba":
-        return int(_numba_kernel()(*args))
     if tier == "cext":
         return _call_cext(_cext_kernel(), *args)
     return int(fused_kernel_numpy(*args))
@@ -1001,7 +967,7 @@ def _schedule_for(
 
 
 # ----------------------------------------------------------------------
-# Noise pre-sampling in the packed engine's exact RNG order
+# Noise pre-sampling in the per-operation RNG order
 # ----------------------------------------------------------------------
 
 # Event kinds of the fast-path pre-sampler template.
@@ -1023,7 +989,7 @@ _Z2_BOOL = _TWO_QUBIT_Z != 0
 class _FastTemplate:
     """Pre-compiled event order and injection layout for a built-in model.
 
-    The raw event list (in exact packed-engine draw order) is re-grouped once
+    The raw event list (in exact per-operation draw order) is re-grouped once
     at build time so the per-run pre-sampler can stay almost allocation-free:
     every probabilistic event is assigned a row in one shared ``(n_fail, B)``
     boolean fail plane, sectioned as ``[d1 | d2 | prep-inject | prep-plain |
@@ -1130,10 +1096,10 @@ def _fast_template(
 ) -> _FastTemplate:
     """Build the ordered draw/injection template for a built-in noise model.
 
-    The event order replicates ``_run_packed`` exactly: movement noise before
-    the operation, the measurement word draw (when the schedule says the
-    outcome is random), then the gate / preparation / flip hook draws.  Hooks
-    whose probability is zero make no RNG calls in the packed engine and are
+    The event order is the per-operation order of the module docstring:
+    movement noise before the operation, the measurement word draw (when the
+    schedule says the outcome is random), then the gate / preparation / flip
+    hook draws.  Hooks whose probability is zero make no RNG calls and are
     simply omitted (except preparation, which always draws one uniform batch).
     """
     noiseless = noise.is_noiseless
@@ -1221,8 +1187,8 @@ def _presample_fast(
 ) -> _Presampled:
     """Consume the template's RNG draws; scatter injections sparsely afterwards.
 
-    The draw loop makes exactly the RNG calls ``_run_packed`` would make, in
-    the same order and against the same generators -- ``random(out=...)``
+    The draw loop makes exactly the RNG calls the packed noise hooks would
+    make, in the per-operation order and against the same generators -- ``random(out=...)``
     consumes the identical stream while writing straight into one shared fail
     plane, so the loop itself is allocation-free apart from the ``integers``
     draws.  Error injection then works from the *failing* lanes only: at the
@@ -1321,7 +1287,7 @@ def _presample_generic(
 ) -> _Presampled:
     """Pre-sample through the real packed noise hooks (custom models).
 
-    Calls exactly the hooks ``_run_packed`` calls, in the same order, so any
+    Calls the packed noise hooks in the per-operation order, so any
     :class:`NoiseModel` subclass -- including ones that only implement the
     scalar hooks -- keeps its RNG stream and its error semantics unchanged.
     Supports may extend beyond the operands (crosstalk), so injection records
@@ -1457,8 +1423,8 @@ class FusedPackedBatchTableau(PackedBatchTableau):
     The state layout -- uint64 word planes over the batch axis -- is
     identical to the parent's, so every inherited operation (gates by name,
     Pauli injection, per-lane extraction, measurement) works unchanged; the
-    batched executor routes compiled programs through
-    :func:`execute_fused` instead of the per-operation word kernels.
+    batched executor creates this state and runs compiled programs on it
+    through :func:`execute_fused`.
 
     The only override is :meth:`expectation`, which exploits lane uniformity
     of the X/Z planes: the anticommutation test and the mod-4 phase of the
@@ -1536,10 +1502,10 @@ def execute_fused(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Run a compiled program on a packed state through the fused kernel.
 
-    Bit-for-bit equivalent to ``BatchedNoisyCircuitExecutor._run_packed`` on
-    the same seeds: measurement words are drawn from the state's generator
-    and noise from ``rng`` (the same object in normal use), in the packed
-    executor's exact per-operation order.  Returns ``(measurements,
+    Bit-for-bit equivalent to driving the packed state one operation at a
+    time on the same seeds: measurement words are drawn from the state's
+    generator and noise from ``rng`` (the same object in normal use), in the
+    per-operation order of the module docstring.  Returns ``(measurements,
     error_count)``; the state is updated in place.
     """
     require_simulable(program)

@@ -1,18 +1,13 @@
 """Bit-packed multi-shot CHP stabilizer simulation (64 lanes per machine word).
 
-:class:`~repro.stabilizer.batch.BatchTableau` vectorized the Monte-Carlo shot
-loop but spends one full ``uint8`` byte per tableau bit and upcasts to
-``int16`` inside its phase arithmetic, so its throughput is bounded by memory
-bandwidth an order of magnitude short of what the hardware can do.
 :class:`PackedBatchTableau` packs the **batch axis** into ``uint64`` words --
 X bits, Z bits and signs stored as ``(2n+1, n, ceil(B/64))`` /
 ``(2n+1, ceil(B/64))`` arrays, bit ``b`` of word ``w`` belonging to lane
 ``64*w + b`` -- and implements every operation as word-wise XOR/AND/OR
 kernels:
 
-* Clifford gates are the same CHP column updates as the uint8 engine, but one
-  ``uint64`` word now carries 64 lanes, an 8x memory saving and up to 64x
-  fewer bit operations per gate.
+* Clifford gates are the standard CHP column updates, with one ``uint64``
+  word carrying 64 lanes.
 * The CHP ``g`` phase function is evaluated without integer upcasts: the
   per-qubit contributions (``+1``/``-1``/``0``) become two boolean masks and
   the sum over qubits is carried mod 4 in two bit-planes, the carry tracked
@@ -26,9 +21,12 @@ are initialised as valid all-|0> tableaux and simply simulate along
 noiselessly; every user-facing result is trimmed to the logical batch size,
 so ragged batch sizes not divisible by 64 behave identically to aligned ones.
 
+This is the state container of the Monte-Carlo engine: the fused kernel
+(:mod:`repro.stabilizer.fused`) executes whole compiled circuits on it, and
+the experiments inject corrections and read expectation values through it.
 The update rules are operation-for-operation the standard Aaronson-Gottesman
-procedure; ``tests/test_stabilizer_packed.py`` pins this engine against both
-the uint8 :class:`BatchTableau` and the scalar :class:`StabilizerTableau`.
+procedure; ``tests/test_stabilizer_packed.py`` pins them against the scalar
+:class:`~repro.stabilizer.tableau.StabilizerTableau`.
 """
 
 from __future__ import annotations
@@ -191,8 +189,7 @@ def _mod4_accumulate(
 class PackedBatchTableau:
     """``batch_size`` CHP stabilizer states, 64 lanes per ``uint64`` word.
 
-    API-compatible with :class:`~repro.stabilizer.batch.BatchTableau` for
-    everything the batched executor and the experiments touch: gates by name,
+    Supports everything the experiments and the tests touch: gates by name,
     Pauli injection from unpacked per-lane bit arrays, reset, Z/X measurement
     (with packed-native ``measure_packed`` variants returning ``(W,)`` word
     arrays) and per-lane Pauli expectation values.
@@ -368,7 +365,7 @@ class PackedBatchTableau:
             array[:, b, :] = tmp
 
     def apply_gate(self, name: str, qubits: tuple[int, ...]) -> None:
-        """Apply a gate by name to every lane (same names as the uint8 engine)."""
+        """Apply a gate by name to every lane (same names as the scalar tableau)."""
         name = name.upper()
         if name == "I":
             return
@@ -426,8 +423,8 @@ class PackedBatchTableau:
         """Apply per-lane Pauli errors given as unpacked ``(B, len(qubits))`` bits.
 
         Packs the lane axis into words and delegates to
-        :meth:`inject_pauli_words`; this is the drop-in equivalent of
-        :meth:`BatchTableau.inject_pauli_terms` used by the experiments.
+        :meth:`inject_pauli_words`; the experiments apply decoded corrections
+        through it.
         """
         x_words = pack_bits(np.asarray(x_bits, dtype=np.uint8).T)
         z_words = pack_bits(np.asarray(z_bits, dtype=np.uint8).T)
@@ -505,8 +502,8 @@ class PackedBatchTableau:
     def expectation(self, pauli: PauliString) -> np.ndarray:
         """Per-lane expectation of a Hermitian Pauli: +1, -1 or 0 (random).
 
-        Returns an ``(B,)`` int8 array with the same semantics as
-        :meth:`BatchTableau.expectation`: lanes where the observable
+        Returns an ``(B,)`` int8 array with the semantics of
+        :meth:`StabilizerTableau.expectation` per lane: lanes where the observable
         anticommutes with some stabilizer report 0; in the rest the observable
         is reconstructed as a product of stabilizer rows and the accumulated
         mod-4 phase (carried in two bit-planes) decides the sign.

@@ -3,11 +3,11 @@
 Contracts exercised here:
 
 * spec construction validates strictly and JSON round-trips exactly,
-* the backend registry performs capability-based selection (packed from 64
-  effective lanes up, sharded only when ``num_shards > 1``) and accepts
-  third-party strategies,
+* the backend registry resolves ``auto`` to the ``packed-fused`` engine
+  (sharded only when ``num_shards > 1``), knows no retired engine names, and
+  runs third-party strategies when they are named,
 * ``run(ExperimentSpec.from_json(result.spec_json))`` replays a sharded
-  packed threshold sweep bit for bit on any worker count,
+  threshold sweep bit for bit on any worker count,
 * the deprecated kwargs entry points forward to the same implementation
   (old path == new path, bit for bit at a fixed seed) and warn,
 * ``run_threshold_sweep_sharded`` rejects unknown keywords with TypeError,
@@ -37,12 +37,7 @@ from repro.api import (
 )
 from repro.api.cli import main as cli_main
 from repro.exceptions import ParameterError, SimulationError
-from repro.stabilizer.fused import native_kernel_available
 from repro.stabilizer.monte_carlo import MonteCarloResult
-
-#: What ``auto`` resolves to at a word-filling batch: the fused kernel tier
-#: when a native kernel (numba or a C compiler) is available, packed otherwise.
-FAST_ENGINE = "packed-fused" if native_kernel_available() else "packed"
 
 
 def sweep_spec(**overrides) -> ExperimentSpec:
@@ -174,54 +169,46 @@ class TestSpecJsonRoundTrip:
 
 
 class TestRegistrySelection:
-    def test_packed_tier_chosen_at_64_lanes(self):
+    def test_auto_is_the_packed_fused_engine(self):
         registry = default_registry()
-        strategy, engine = registry.resolve("auto", shots=64, batch_size=1024, num_shards=1)
-        assert (strategy.name, engine) == (FAST_ENGINE, FAST_ENGINE)
+        strategy, engine = registry.resolve("auto")
+        assert (strategy.name, engine) == ("packed-fused", "packed-fused")
+        # Below one 64-lane word too: a 32-shot point runs the same engine.
+        result = run(
+            ExperimentSpec(
+                experiment="logical_failure",
+                noise=NoiseSpec(physical_rates=(1e-3,)),
+                sampling=SamplingSpec(shots=32, seed=0, batch_size=32),
+            )
+        )
+        assert (result.backend, result.engine) == ("packed-fused", "packed-fused")
 
-    def test_fused_beats_packed_only_with_a_native_kernel(self):
+    def test_retired_engine_names_are_unknown(self):
         registry = default_registry()
-        fused = registry.get("packed-fused")
-        packed = registry.get("packed")
-        assert fused.capabilities.min_auto_batch == packed.capabilities.min_auto_batch
-        if native_kernel_available():
-            assert fused.capabilities.auto_priority > packed.capabilities.auto_priority
-        else:
-            assert fused.capabilities.auto_priority < packed.capabilities.auto_priority
-
-    def test_uint8_below_64_lanes(self):
-        registry = default_registry()
-        strategy, engine = registry.resolve("auto", shots=63, batch_size=1024, num_shards=1)
-        assert (strategy.name, engine) == ("uint8", "uint8")
-        # batch_size caps the effective batch even for large shot counts
-        strategy, engine = registry.resolve("auto", shots=10_000, batch_size=32, num_shards=1)
-        assert engine == "uint8"
+        assert registry.names() == ("scalar", "packed-fused", "sharded", "desim")
+        for retired in ("uint8", "packed"):
+            with pytest.raises(SimulationError, match="registered backends"):
+                registry.resolve(retired)
 
     def test_sharded_only_when_shards_exceed_one(self):
         registry = default_registry()
-        strategy, engine = registry.resolve("auto", shots=4096, batch_size=1024, num_shards=4)
-        assert (strategy.name, engine) == ("sharded", FAST_ENGINE)
-        strategy, _ = registry.resolve("auto", shots=4096, batch_size=1024, num_shards=1)
+        strategy, engine = registry.resolve("auto", num_shards=4)
+        assert (strategy.name, engine) == ("sharded", "packed-fused")
+        strategy, _ = registry.resolve("auto", num_shards=1)
         assert strategy.name != "sharded"
-
-    def test_sharding_shrinks_the_effective_batch(self):
-        # 256 shots over 8 shards -> 32-lane shards -> uint8 engine.
-        registry = default_registry()
-        strategy, engine = registry.resolve("auto", shots=256, batch_size=1024, num_shards=8)
-        assert (strategy.name, engine) == ("sharded", "uint8")
 
     def test_explicit_engine_with_shards_runs_sharded(self):
         registry = default_registry()
-        strategy, engine = registry.resolve("uint8", shots=4096, batch_size=1024, num_shards=2)
-        assert (strategy.name, engine) == ("sharded", "uint8")
+        strategy, engine = registry.resolve("packed-fused", num_shards=2)
+        assert (strategy.name, engine) == ("sharded", "packed-fused")
 
     def test_scalar_refuses_shards(self):
         with pytest.raises(ParameterError):
-            default_registry().resolve("scalar", shots=100, batch_size=64, num_shards=2)
+            default_registry().resolve("scalar", num_shards=2)
 
     def test_unknown_backend_raises(self):
         with pytest.raises(SimulationError):
-            default_registry().resolve("simd", shots=100, batch_size=64)
+            default_registry().resolve("simd")
 
     def test_max_qubits_capability_excludes_backends(self):
         registry = BackendRegistry()
@@ -235,9 +222,9 @@ class TestRegistrySelection:
 
         registry.register(TinyBackend())
         with pytest.raises(SimulationError):
-            registry.resolve("tiny", shots=100, batch_size=64, num_qubits=21)
-        with pytest.raises(SimulationError):  # auto-selection skips it too
-            registry.resolve("auto", shots=100, batch_size=64, num_qubits=21)
+            registry.resolve("tiny", num_qubits=21)
+        with pytest.raises(SimulationError):  # auto never picks it instead
+            registry.resolve("auto", num_qubits=21)
 
     def test_duplicate_registration_rejected(self):
         registry = BackendRegistry()
@@ -255,15 +242,11 @@ class TestRegistrySelection:
         registry.register(Stub(), replace=True)
 
     def test_third_party_backend_never_hijacks_tableau_resolution(self):
-        # A custom strategy can win strategy auto-selection, but its name must
-        # never reach the batched-tableau layer (which only understands
-        # uint8/packed and would silently fall back to uint8 otherwise).
-        from repro.arq.simulator import create_batch_tableau, resolve_backend
-        from repro.stabilizer import PackedBatchTableau
-
+        # A custom strategy runs only when named: "auto" stays on the
+        # packed-fused engine, sharded or not.
         class FancyBackend:
             name = "fancy"
-            capabilities = BackendCapabilities(supports_batching=True, min_auto_batch=128)
+            capabilities = BackendCapabilities(supports_batching=True)
 
             def estimate(self, task, shots, **kwargs):
                 return MonteCarloResult(failures=0, trials=shots)
@@ -271,14 +254,12 @@ class TestRegistrySelection:
         registry = default_registry()
         registry.register(FancyBackend())
         try:
-            assert resolve_backend("auto", 1024) == FAST_ENGINE
-            assert isinstance(create_batch_tableau("auto", 7, 1024), PackedBatchTableau)
-            # Shard tasks always pin a real tableau engine.
-            _, engine = registry.resolve("auto", shots=4096, batch_size=1024, num_shards=2)
-            assert engine == FAST_ENGINE
-            # But the custom strategy does win unsharded strategy selection.
-            strategy, _ = registry.resolve("auto", shots=4096, batch_size=1024, num_shards=1)
-            assert strategy.name == "fancy"
+            strategy, engine = registry.resolve("auto")
+            assert (strategy.name, engine) == ("packed-fused", "packed-fused")
+            _, engine = registry.resolve("auto", num_shards=2)
+            assert engine == "packed-fused"
+            strategy, engine = registry.resolve("fancy")
+            assert (strategy.name, engine) == ("fancy", "fancy")
         finally:
             registry.unregister("fancy")
 
@@ -313,7 +294,7 @@ class TestRunAndReplay:
     def test_sharded_packed_sweep_replays_bit_for_bit(self):
         result = run(sweep_spec())
         assert result.backend == "sharded"
-        assert result.engine == FAST_ENGINE
+        assert result.engine == "packed-fused"
         replay = run(ExperimentSpec.from_json(result.spec_json))
         assert replay.value == result.value
         assert replay.seed_entropy == result.seed_entropy

@@ -464,7 +464,7 @@ class TestMachineSimSpec:
             experiment="machine_sim",
             noise=NoiseSpec(kind="technology"),
             sampling=SamplingSpec(shots=0, seed=0),
-            execution=ExecutionSpec(backend="packed"),
+            execution=ExecutionSpec(backend="packed-fused"),
         )
         with pytest.raises(ParameterError, match="desim"):
             run(spec)
@@ -475,11 +475,9 @@ class TestMachineSimSpec:
             strategy.estimate(lambda rng, n: None, 100)
 
     def test_desim_never_auto_selected_for_shots(self):
-        strategy, engine = default_registry().resolve(
-            "auto", shots=4096, batch_size=1024, num_shards=1
-        )
+        strategy, engine = default_registry().resolve("auto", num_shards=1)
         assert strategy.name != "desim"
-        assert engine in ("uint8", "packed", "packed-fused")
+        assert engine == "packed-fused"
 
 
 # ----------------------------------------------------------------------

@@ -189,7 +189,7 @@ class TestKernelTierGate:
         from repro.exceptions import SimulationError
         from repro.stabilizer import fused
 
-        monkeypatch.setenv("REPRO_FUSED_KERNEL", "numba")
+        monkeypatch.setenv("REPRO_FUSED_KERNEL", "cext")
         with faults.fault_profile(FaultProfile(seed=0, kernel=1.0)):
             with pytest.raises(SimulationError, match="injected native-kernel"):
                 fused.kernel_tier()

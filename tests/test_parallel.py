@@ -215,24 +215,10 @@ class TestSeededThresholdSweep:
         with pytest.raises(ParameterError):
             run_threshold_sweep(self.RATES, trials=10, seed=1, use_batched=False)
 
-    def test_backends_agree_statistically_on_seeded_sweeps(self):
-        trials = 1500
-        packed = run_threshold_sweep(
-            (5.0e-3, 1.0e-2), trials=trials, seed=8, backend="packed", batch_size=750
-        )
-        uint8 = run_threshold_sweep(
-            (5.0e-3, 1.0e-2), trials=trials, seed=9, backend="uint8", batch_size=750
-        )
-        p1, p2 = packed.level1_rates[1], uint8.level1_rates[1]
-        combined_se = np.sqrt(
-            p1 * (1 - p1) / trials + p2 * (1 - p2) / trials
-        )
-        assert abs(p1 - p2) <= 3.0 * combined_se + 1e-12
-
 
 class TestLevel1ShardTask:
     def test_task_is_deterministic_per_seed(self):
-        task = Level1ShardTask(physical_rate=1.0e-2, backend="packed")
+        task = Level1ShardTask(physical_rate=1.0e-2)
         a = task(np.random.default_rng(np.random.SeedSequence(1)), 128)
         b = task(np.random.default_rng(np.random.SeedSequence(1)), 128)
         assert np.array_equal(a, b)

@@ -53,3 +53,11 @@ def test_threshold_sweep_value_is_pinned():
     sweep = result.value
     assert tuple((point.failures, point.trials) for point in sweep.level1) == SWEEP_LEVEL1_GOLDEN
     assert sweep.concatenation_coefficient == pytest.approx(SWEEP_COEFFICIENT_GOLDEN, rel=1e-12)
+
+
+@pytest.mark.parametrize("key", sorted(LOGICAL_FAILURE_GOLDENS))
+def test_auto_reproduces_the_pinned_counts(key):
+    # "auto" names the same engine at every batch size, 32-lane points included.
+    rate, shots, seed, batch_size, num_shards = key
+    result = run(_spec("logical_failure", (rate,), shots, seed, batch_size, num_shards, "auto"))
+    assert (result.value.failures, result.value.trials) == LOGICAL_FAILURE_GOLDENS[key]

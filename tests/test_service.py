@@ -393,6 +393,18 @@ class TestServiceEndToEnd:
         assert "# HELP repro_service_uptime_seconds" in text
         assert "# TYPE repro_service_job_attempts_total counter" in text
 
+    def test_request_threads_release_their_store_connections(self, service, client):
+        # Every request runs on a fresh handler thread; a connection kept per
+        # finished thread would grow the store's open set by one per request.
+        workers = client.healthz()["workers"]
+        for _ in range(200):
+            client.healthz()
+        bound = workers + 3  # worker threads, the constructing thread, in-flight handlers
+        deadline = time.monotonic() + 10.0
+        while len(service.store._connections) > bound and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(service.store._connections) <= bound
+
     def test_http_error_paths(self, service, client):
         with pytest.raises(ServiceError) as excinfo:
             client.job("job-missing")

@@ -1,11 +1,12 @@
-"""Cross-validation of the batched engine against the scalar tableau.
+"""Cross-validation of the batched executor against the per-shot path.
 
-The batched engine (:class:`~repro.stabilizer.batch.BatchTableau`, the
-compiled circuit IR and :class:`~repro.arq.simulator.BatchedNoisyCircuitExecutor`)
-must be indistinguishable from the per-shot path: deterministic-outcome
-circuits must agree *exactly* lane for lane, and noisy Monte-Carlo estimates
-must agree statistically (within three binomial standard errors) on the Steane
-syndrome-extraction workload.
+The batched engine (the compiled circuit IR and
+:class:`~repro.arq.simulator.BatchedNoisyCircuitExecutor`, which runs it on
+the fused kernel) must be indistinguishable from the per-shot path:
+deterministic-outcome circuits must agree *exactly* lane for lane, and noisy
+Monte-Carlo estimates must agree statistically (within three binomial standard
+errors) on the Steane syndrome-extraction workload.  Batch sizes of 70 lanes
+cover a ragged second word.
 """
 
 from __future__ import annotations
@@ -22,32 +23,14 @@ from repro.arq.experiments import Level1EccExperiment, _noise_for_rate
 from repro.circuits import Circuit, Gate, Opcode, compile_circuit
 from repro.exceptions import SimulationError
 from repro.iontrap.parameters import EXPECTED_PARAMETERS
-from repro.pauli import PauliString
 from repro.qecc.decoder import LookupDecoder
 from repro.qecc.syndrome import full_error_correction_circuit
 from repro.stabilizer import (
-    BatchTableau,
+    FusedPackedBatchTableau,
     NoiselessModel,
     OperationNoise,
-    StabilizerTableau,
     estimate_failure_rate_batched,
 )
-
-
-def _random_clifford_circuit(num_qubits: int, depth: int, seed: int) -> Circuit:
-    rng = np.random.default_rng(seed)
-    circuit = Circuit(num_qubits)
-    one_qubit = ("H", "S", "SDG", "X", "Y", "Z")
-    two_qubit = ("CNOT", "CZ", "SWAP")
-    for _ in range(depth):
-        if num_qubits >= 2 and rng.random() < 0.4:
-            a, b = rng.choice(num_qubits, size=2, replace=False)
-            circuit.append(Gate.gate(str(rng.choice(two_qubit)), int(a), int(b)))
-        else:
-            circuit.append(
-                Gate.gate(str(rng.choice(one_qubit)), int(rng.integers(num_qubits)))
-            )
-    return circuit
 
 
 class TestCompiledCircuit:
@@ -81,84 +64,6 @@ class TestCompiledCircuit:
             compile_circuit(circuit)
 
 
-class TestBatchTableauAgainstScalar:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_random_clifford_generators_match_every_lane(self, seed):
-        circuit = _random_clifford_circuit(num_qubits=5, depth=60, seed=seed)
-        scalar = StabilizerTableau(5)
-        batch = BatchTableau(5, 4)
-        for operation in circuit:
-            scalar.apply_gate(operation.name, operation.qubits)
-            batch.apply_gate(operation.name, operation.qubits)
-        for lane in range(batch.batch_size):
-            extracted = batch.lane(lane)
-            assert [str(g) for g in extracted.stabilizer_generators()] == [
-                str(g) for g in scalar.stabilizer_generators()
-            ]
-            assert [str(g) for g in extracted.destabilizer_generators()] == [
-                str(g) for g in scalar.destabilizer_generators()
-            ]
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_expectations_match_scalar(self, seed):
-        circuit = _random_clifford_circuit(num_qubits=4, depth=40, seed=seed)
-        scalar = StabilizerTableau(4)
-        batch = BatchTableau(4, 6)
-        for operation in circuit:
-            scalar.apply_gate(operation.name, operation.qubits)
-            batch.apply_gate(operation.name, operation.qubits)
-        rng = np.random.default_rng(seed)
-        for _ in range(20):
-            x = rng.integers(0, 2, size=4).astype(np.uint8)
-            z = rng.integers(0, 2, size=4).astype(np.uint8)
-            pauli = PauliString(x, z)
-            assert (batch.expectation(pauli) == scalar.expectation(pauli)).all()
-
-    def test_pauli_injection_matches_scalar(self):
-        circuit = _random_clifford_circuit(num_qubits=4, depth=30, seed=9)
-        scalar = StabilizerTableau(4)
-        batch = BatchTableau(4, 3)
-        for operation in circuit:
-            scalar.apply_gate(operation.name, operation.qubits)
-            batch.apply_gate(operation.name, operation.qubits)
-        pauli = PauliString.from_label("XYZI")
-        scalar.apply_pauli(pauli)
-        batch.apply_pauli(pauli)
-        for lane in range(3):
-            assert [str(g) for g in batch.lane(lane).stabilizer_generators()] == [
-                str(g) for g in scalar.stabilizer_generators()
-            ]
-
-    def test_measurement_collapse_repeats_and_reset(self):
-        batch = BatchTableau(2, 500, rng=np.random.default_rng(5))
-        batch.h(0)
-        batch.cnot(0, 1)
-        first = batch.measure(0)
-        # Bell state: qubit 1 must agree with qubit 0, and re-measurement of a
-        # collapsed qubit is deterministic.
-        assert (batch.measure(1) == first).all()
-        assert (batch.measure(0) == first).all()
-        # Roughly half the lanes should read 1 (random outcomes are per-lane).
-        assert 0.35 < first.mean() < 0.65
-        batch.reset(0)
-        assert (batch.measure(0) == 0).all()
-
-    def test_measure_x_on_plus_state_is_deterministic(self):
-        batch = BatchTableau(1, 32)
-        batch.h(0)
-        assert (batch.measure_x(0) == 0).all()
-
-    def test_from_tableau_broadcasts_state(self):
-        scalar = StabilizerTableau(3)
-        scalar.h(0)
-        scalar.cnot(0, 1)
-        batch = BatchTableau.from_tableau(scalar, 4, rng=np.random.default_rng(0))
-        for lane in range(4):
-            assert [str(g) for g in batch.lane(lane).stabilizer_generators()] == [
-                str(g) for g in scalar.stabilizer_generators()
-            ]
-
-
 class TestBatchedExecutor:
     def test_deterministic_circuit_matches_per_shot_exactly(self):
         circuit = (
@@ -170,7 +75,8 @@ class TestBatchedExecutor:
             .measure(1, label="zero")
         )
         scalar = NoisyCircuitExecutor().run(circuit, np.random.default_rng(0))
-        batch = BatchedNoisyCircuitExecutor().run(circuit, 50, np.random.default_rng(1))
+        batch = BatchedNoisyCircuitExecutor().run(circuit, 70, np.random.default_rng(1))
+        assert isinstance(batch.tableau, FusedPackedBatchTableau)
         assert (batch.measurements["one"] == scalar.measurements["one"]).all()
         assert (batch.measurements["zero"] == scalar.measurements["zero"]).all()
 
@@ -198,7 +104,7 @@ class TestBatchedExecutor:
         noise = OperationNoise(p_measure=1.0)
         circuit = Circuit(1).prepare(0).measure(0, label="out")
         result = BatchedNoisyCircuitExecutor(noise=noise).run(
-            circuit, 16, np.random.default_rng(0)
+            circuit, 70, np.random.default_rng(0)
         )
         assert (result.measurements["out"] == 1).all()
         assert (result.error_count >= 1).all()
@@ -207,10 +113,10 @@ class TestBatchedExecutor:
         noise = OperationNoise(p_move_per_cell=1.0)
         circuit = Circuit(2).cnot(0, 1).measure(1, label="out")
         without = BatchedNoisyCircuitExecutor(noise=noise).run(
-            circuit, 32, np.random.default_rng(0)
+            circuit, 70, np.random.default_rng(0)
         )
         with_mapper = BatchedNoisyCircuitExecutor(noise=noise, mapper=LayoutMapper()).run(
-            circuit, 32, np.random.default_rng(0)
+            circuit, 70, np.random.default_rng(0)
         )
         assert (without.error_count == 0).all()
         assert (with_mapper.error_count >= 1).all()
@@ -220,9 +126,9 @@ class TestBatchedExecutor:
         executor = BatchedNoisyCircuitExecutor(noise=NoiselessModel())
         from repro.qecc.encoder import steane_encode_zero_circuit
 
-        batch = 32
+        batch = 70
         rng = np.random.default_rng(4)
-        state = BatchTableau(circuit.num_qubits, batch, rng=rng)
+        state = FusedPackedBatchTableau(circuit.num_qubits, batch, rng=rng)
         executor.run(
             steane_encode_zero_circuit(num_qubits=circuit.num_qubits), batch, rng, tableau=state
         )
@@ -255,7 +161,7 @@ class TestBatchedExecutor:
 
         circuit = Circuit(1).prepare(0).z(0).measure(0, label="out")
         result = BatchedNoisyCircuitExecutor(noise=AlwaysXAfterGates()).run(
-            circuit, 8, np.random.default_rng(0)
+            circuit, 70, np.random.default_rng(0)
         )
         assert (result.measurements["out"] == 1).all()
         assert (result.error_count == 1).all()
@@ -291,7 +197,7 @@ class TestReviewRegressions:
             circuit.append(Gate.gate("I", 0))
         scalar = NoisyCircuitExecutor(noise=noise).run(circuit, np.random.default_rng(0))
         batched = BatchedNoisyCircuitExecutor(noise=noise).run(
-            circuit, 16, np.random.default_rng(1)
+            circuit, 70, np.random.default_rng(1)
         )
         assert scalar.error_count == 10
         assert (batched.error_count == 10).all()
@@ -417,7 +323,7 @@ class TestSteaneCrossValidation:
     def test_zero_noise_never_fails_batched(self):
         params = EXPECTED_PARAMETERS.with_uniform_failure(0.0, keep_movement=False)
         experiment = Level1EccExperiment(noise=_noise_for_rate(0.0, params))
-        outcome = experiment.run_trial_batch_detailed(np.random.default_rng(3), 64)
+        outcome = experiment.run_trial_batch_detailed(np.random.default_rng(3), 70)
         assert not outcome["failure"].any()
         assert outcome["verification_passed"].all()
 
@@ -445,12 +351,36 @@ class TestSteaneCrossValidation:
         )
         assert abs(p_batched - p_scalar) <= 3.0 * combined_se + 1e-12
 
+    def test_default_experiment_runs_every_retry_attempt_on_the_fused_engine(self, monkeypatch):
+        # Lanes failing ancilla verification re-run as shrinking sub-batches,
+        # down to a few lanes; each attempt must stay on the one engine (and
+        # its RNG stream) instead of switching below one 64-lane word.
+        import repro.arq.simulator as simulator
+
+        runs, fused = [], []
+        real_run, real_fused = simulator.BatchedNoisyCircuitExecutor.run, simulator.execute_fused
+
+        def counting_run(self, circuit, batch_size, rng, tableau=None):
+            runs.append(batch_size)
+            return real_run(self, circuit, batch_size, rng, tableau=tableau)
+
+        def counting_fused(program, batch_size, rng, state, noise):
+            fused.append(batch_size)
+            return real_fused(program, batch_size, rng, state, noise)
+
+        monkeypatch.setattr(simulator.BatchedNoisyCircuitExecutor, "run", counting_run)
+        monkeypatch.setattr(simulator, "execute_fused", counting_fused)
+        experiment = Level1EccExperiment(noise=_noise_for_rate(1e-3, EXPECTED_PARAMETERS))
+        experiment.run_trial_batch(np.random.default_rng(7), 1024)
+        assert min(runs) < 64
+        assert fused == runs
+
     def test_detailed_outcome_fields(self):
         experiment = Level1EccExperiment(
             noise=_noise_for_rate(2e-3, EXPECTED_PARAMETERS)
         )
-        outcome = experiment.run_trial_batch_detailed(np.random.default_rng(0), 32)
+        outcome = experiment.run_trial_batch_detailed(np.random.default_rng(0), 70)
         assert set(outcome) == {"failure", "nontrivial_syndrome", "verification_passed"}
         for value in outcome.values():
-            assert value.shape == (32,)
+            assert value.shape == (70,)
             assert value.dtype == bool

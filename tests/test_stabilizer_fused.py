@@ -1,17 +1,18 @@
-"""The fused native kernel tier: tiers, opcode coverage, and replay contracts.
+"""The fused kernel tier: tiers, opcode coverage, and replay contracts.
 
 Three things are pinned here:
 
 * kernel-tier selection (``REPRO_FUSED_KERNEL``) and the numpy fallback's
-  exact agreement with the active native tier;
+  exact agreement with the active tier;
 * the IR <-> kernel opcode contract: every opcode the fused kernel claims to
-  support is exercised against the packed engine, and timing-only opcodes are
-  rejected with a clear :class:`SimulationError` rather than mis-executed;
+  support is exercised against the per-operation packed loop
+  (``packed_reference``), and timing-only opcodes are rejected with a clear
+  :class:`SimulationError` rather than mis-executed;
 * the reproducibility contract: a seeded :class:`ExperimentSpec` replays bit
-  for bit across the ``"packed"`` and ``"packed-fused"`` engines and across
-  shard counts.
+  for bit whether ``auto`` or ``"packed-fused"`` is named, and at every shard
+  count.
 
-The randomized packed-vs-fused fuzz lives with the other cross-validation
+The randomized per-op-vs-fused fuzz lives with the other cross-validation
 oracles in ``test_stabilizer_packed.py``.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from packed_reference import run_packed_reference
 from repro.api import (
     ExecutionSpec,
     ExperimentSpec,
@@ -79,12 +81,10 @@ def _all_opcode_circuit() -> Circuit:
 
 
 def _run_both(circuit, batch, seed, noise=NOISE, mapper=None):
-    packed = BatchedNoisyCircuitExecutor(
-        noise=noise, mapper=mapper, backend="packed"
-    ).run(circuit, batch, np.random.default_rng(seed))
-    fused = BatchedNoisyCircuitExecutor(
-        noise=noise, mapper=mapper, backend="packed-fused"
-    ).run(circuit, batch, np.random.default_rng(seed))
+    packed = run_packed_reference(circuit, batch, np.random.default_rng(seed), noise, mapper)
+    fused = BatchedNoisyCircuitExecutor(noise=noise, mapper=mapper).run(
+        circuit, batch, np.random.default_rng(seed)
+    )
     return packed, fused
 
 
@@ -103,7 +103,7 @@ class TestKernelTiers:
         assert kernel_tier() in KERNEL_TIERS
 
     def test_native_probe_matches_tier(self):
-        assert native_kernel_available() == (kernel_tier() in ("numba", "cext"))
+        assert native_kernel_available() == (kernel_tier() == "cext")
 
     def test_numpy_tier_forcible(self, monkeypatch):
         monkeypatch.setenv("REPRO_FUSED_KERNEL", "numpy")
@@ -118,36 +118,33 @@ class TestKernelTiers:
             kernel_tier()
 
     def test_forcing_unavailable_tier_raises(self, monkeypatch):
-        # numba is absent unless installed; a forced tier must fail loudly
-        # instead of silently running a different kernel.
+        # A forced tier that cannot load must fail loudly instead of silently
+        # running a different kernel.
         monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
-        if fused_module._numba_kernel() is None:
-            monkeypatch.setenv("REPRO_FUSED_KERNEL", "numba")
-            with pytest.raises(SimulationError, match="numba"):
-                kernel_tier()
-        else:
-            monkeypatch.setenv("REPRO_FUSED_KERNEL", "numba")
-            assert kernel_tier() == "numba"
+        monkeypatch.setattr(fused_module, "_cext_kernel", lambda: None)
+        monkeypatch.setattr(fused_module, "_CEXT_ERROR", "no C compiler found")
+        monkeypatch.setenv("REPRO_FUSED_KERNEL", "cext")
+        with pytest.raises(SimulationError, match="cext: no C compiler"):
+            kernel_tier()
 
     def test_numpy_fallback_matches_active_tier(self, monkeypatch):
         """The vectorized fallback and the active tier are interchangeable."""
         circuit = _all_opcode_circuit()
-        reference = BatchedNoisyCircuitExecutor(
-            noise=NOISE, backend="packed-fused"
-        ).run(circuit, 130, np.random.default_rng(8))
+        reference = BatchedNoisyCircuitExecutor(noise=NOISE).run(
+            circuit, 130, np.random.default_rng(8)
+        )
         monkeypatch.setenv("REPRO_FUSED_KERNEL", "numpy")
         monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
-        fallback = BatchedNoisyCircuitExecutor(
-            noise=NOISE, backend="packed-fused"
-        ).run(circuit, 130, np.random.default_rng(8))
+        fallback = BatchedNoisyCircuitExecutor(noise=NOISE).run(
+            circuit, 130, np.random.default_rng(8)
+        )
         _assert_identical(reference, fallback)
 
     def test_python_reference_loop_matches_numpy_kernel(self):
-        """fused_kernel_python (the njit target) agrees with the numpy kernel.
+        """fused_kernel_python (the kernel oracle) agrees with the numpy kernel.
 
-        Exercised directly because in a numba-less environment the Python
-        loop never runs in production -- but it is exactly what numba
-        compiles, so its semantics must stay pinned.
+        The plain loop never runs in production; it states the semantics the
+        C and numpy tiers implement, so it is pinned against them here.
         """
         program = compile_circuit(_all_opcode_circuit())
         plan = fused_module._plan_for(program)
@@ -272,14 +269,6 @@ class TestFusedState:
         assert result.tableau is state
         assert (result.measurements["m"] == 1).all()
 
-    def test_fused_backend_conflicts_with_plain_packed_tableau(self):
-        circuit = Circuit(1).measure(0)
-        state = PackedBatchTableau(1, 8, rng=np.random.default_rng(0))
-        with pytest.raises(SimulationError, match="conflicts"):
-            BatchedNoisyCircuitExecutor(backend="packed-fused").run(
-                circuit, 8, np.random.default_rng(0), tableau=state
-            )
-
 
 def _sweep_spec(backend: str, num_shards: int = 1) -> ExperimentSpec:
     return ExperimentSpec(
@@ -292,36 +281,34 @@ def _sweep_spec(backend: str, num_shards: int = 1) -> ExperimentSpec:
 
 class TestSeededReplay:
     def test_spec_replays_bit_for_bit_across_engines(self):
-        """The acceptance contract: packed and fused runs are interchangeable."""
-        packed = run(_sweep_spec("packed"))
+        """``auto``, ``packed-fused`` and one ``sharded`` shard are one stream."""
+        auto = run(_sweep_spec("auto"))
         fused = run(_sweep_spec("packed-fused"))
-        assert fused.engine == "packed-fused"
-        assert fused.value == packed.value
+        sharded = run(_sweep_spec("sharded"))
+        assert auto.engine == fused.engine == sharded.engine == "packed-fused"
+        assert auto.value == fused.value == sharded.value
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_spec_replays_bit_for_bit_at_every_shard_count(self, num_shards):
-        """Shard tasks pin the fused engine and still match packed exactly.
+        """Shard tasks run the fused engine whichever name the spec gives.
 
         (Different shard counts are deliberately different seed-spawn plans;
-        the invariant is engine interchangeability within each plan, plus the
-        worker-count independence pinned by the api suite.)
+        the invariant is replay within each plan, plus the worker-count
+        independence pinned by the api suite.)
         """
-        packed = run(_sweep_spec("packed", num_shards=num_shards))
+        auto = run(_sweep_spec("auto", num_shards=num_shards))
         fused = run(_sweep_spec("packed-fused", num_shards=num_shards))
-        assert fused.value == packed.value
+        assert fused.value == auto.value
         replay = run(ExperimentSpec.from_json(fused.spec_json))
         assert replay.value == fused.value
 
     def test_registry_diagnostics_name_every_backend(self):
         """A capability mismatch lists each backend with its excluding flag."""
         registry = default_registry()
-        description = registry.describe_exclusions(effective_batch=32)
+        description = registry.describe_exclusions(num_qubits=21)
         for name in registry.names():
-            assert f"{name!r}" in description
-        assert "min_auto_batch=64 > effective batch 32" in description
-        assert "supports_batching=False" in description
-        with pytest.raises(SimulationError, match="supports_sharding=True"):
-            registry.select_engine(0)
+            assert f"{name!r}: eligible" in description
+        assert registry.describe_exclusions() == description
 
     def test_explicit_capability_mismatch_error_lists_backends(self):
         registry = default_registry()
@@ -338,8 +325,6 @@ class TestSeededReplay:
         registry.register(TinyBackend())
         try:
             with pytest.raises(SimulationError, match="'packed-fused'"):
-                registry.resolve(
-                    "tiny-fused-test", shots=100, batch_size=64, num_qubits=21
-                )
+                registry.resolve("tiny-fused-test", num_qubits=21)
         finally:
             registry.unregister("tiny-fused-test")

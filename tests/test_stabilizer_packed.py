@@ -1,13 +1,13 @@
-"""Cross-validation of the bit-packed engine against the uint8 and scalar paths.
+"""Cross-validation of the bit-packed state against the scalar tableau.
 
 :class:`~repro.stabilizer.packed.PackedBatchTableau` must be physically
-indistinguishable from both :class:`~repro.stabilizer.batch.BatchTableau` and
-the scalar :class:`~repro.stabilizer.tableau.StabilizerTableau`:
-deterministic-outcome circuits agree *exactly* lane for lane (including
-ragged batch sizes not divisible by 64), and noisy Monte-Carlo estimates on
-the Steane level-1 workload agree within three binomial standard errors.
-The word-level helpers (pack/unpack, popcount with its lookup-table
-fallback) are pinned here too.
+indistinguishable from the scalar
+:class:`~repro.stabilizer.tableau.StabilizerTableau`: deterministic-outcome
+circuits agree *exactly* lane for lane (including ragged batch sizes not
+divisible by 64).  The fused engine must match the per-operation loop over
+this state (``packed_reference``) bit for bit, and the executor must honour a
+passed-in packed state.  The word-level helpers (pack/unpack, popcount with
+its lookup-table fallback) are pinned here too.
 """
 
 from __future__ import annotations
@@ -16,15 +16,14 @@ import numpy as np
 import pytest
 
 import repro.stabilizer.packed as packed_module
-from repro.arq import BatchedNoisyCircuitExecutor, LayoutMapper, NoisyCircuitExecutor
-from repro.arq.experiments import Level1EccExperiment, _noise_for_rate
-from repro.arq.simulator import create_batch_tableau, resolve_backend
+from packed_reference import run_packed_reference
+from repro.api import default_registry
+from repro.arq import BatchedNoisyCircuitExecutor, LayoutMapper
 from repro.circuits import Circuit, Gate
 from repro.exceptions import SimulationError
-from repro.iontrap.parameters import EXPECTED_PARAMETERS
 from repro.pauli import PauliString
 from repro.stabilizer import (
-    BatchTableau,
+    FusedPackedBatchTableau,
     NoiselessModel,
     OperationNoise,
     PackedBatchTableau,
@@ -138,22 +137,23 @@ class TestPackedAgainstScalar:
                 str(g) for g in scalar.stabilizer_generators()
             ]
 
-    def test_per_lane_pauli_bits_match_uint8_engine(self):
+    def test_per_lane_pauli_bits_match_scalar(self):
         circuit = _random_clifford_circuit(num_qubits=4, depth=30, seed=5)
         batch_size = 70
-        uint8 = BatchTableau(4, batch_size)
+        scalar = StabilizerTableau(4)
         packed = PackedBatchTableau(4, batch_size)
         for operation in circuit:
-            uint8.apply_gate(operation.name, operation.qubits)
+            scalar.apply_gate(operation.name, operation.qubits)
             packed.apply_gate(operation.name, operation.qubits)
         rng = np.random.default_rng(3)
         x_bits = rng.integers(0, 2, size=(batch_size, 4)).astype(np.uint8)
         z_bits = rng.integers(0, 2, size=(batch_size, 4)).astype(np.uint8)
-        uint8.apply_pauli_bits(x_bits, z_bits)
         packed.apply_pauli_bits(x_bits, z_bits)
         for lane in (0, 33, 63, 64, 69):
+            oracle = scalar.copy()
+            oracle.apply_pauli(PauliString(x_bits[lane], z_bits[lane]))
             assert [str(g) for g in packed.lane(lane).stabilizer_generators()] == [
-                str(g) for g in uint8.lane(lane).stabilizer_generators()
+                str(g) for g in oracle.stabilizer_generators()
             ]
 
     def test_from_tableau_broadcasts_state(self):
@@ -323,15 +323,13 @@ class TestRandomizedCrossValidation:
 
     @pytest.mark.parametrize("batch", RAGGED_BATCHES)
     def test_fused_tier_matches_packed_bit_for_bit(self, batch):
-        """Random circuits + random noise: packed and fused agree exactly.
+        """Random circuits + random noise: the per-op loop and fused agree exactly.
 
         Not a statistical check -- the fused tier pre-samples noise and
-        measurement randomness in the packed engine's exact RNG order, so
-        every measurement word, error count and final tableau plane
+        measurement randomness in the per-operation loop's exact RNG order,
+        so every measurement word, error count and final tableau plane
         (ghost lanes included) must be identical on the same seed.
         """
-        from repro.stabilizer import FusedPackedBatchTableau
-
         for seed in range(6):
             circuit = self._random_measured_circuit(seed=1000 + seed)
             rng = np.random.default_rng(seed)
@@ -346,12 +344,12 @@ class TestRandomizedCrossValidation:
                     p_move_per_cell=float(rng.uniform(0, 0.01)),
                 )
             mapper = LayoutMapper() if seed % 2 else None
-            packed = BatchedNoisyCircuitExecutor(
-                noise=noise, mapper=mapper, backend="packed"
-            ).run(circuit, batch, np.random.default_rng(77 + seed))
-            fused = BatchedNoisyCircuitExecutor(
-                noise=noise, mapper=mapper, backend="packed-fused"
-            ).run(circuit, batch, np.random.default_rng(77 + seed))
+            packed = run_packed_reference(
+                circuit, batch, np.random.default_rng(77 + seed), noise, mapper
+            )
+            fused = BatchedNoisyCircuitExecutor(noise=noise, mapper=mapper).run(
+                circuit, batch, np.random.default_rng(77 + seed)
+            )
             assert isinstance(fused.tableau, FusedPackedBatchTableau)
             assert set(packed.measurements) == set(fused.measurements)
             for label in packed.measurements:
@@ -366,43 +364,20 @@ class TestRandomizedCrossValidation:
 
 
 class TestPackedExecutor:
-    def test_deterministic_circuit_matches_per_shot_exactly(self):
-        circuit = (
-            Circuit(3)
-            .prepare(0)
-            .x(0)
-            .measure(0, label="one")
-            .prepare(1)
-            .measure(1, label="zero")
-        )
-        scalar = NoisyCircuitExecutor().run(circuit, np.random.default_rng(0))
-        batch = BatchedNoisyCircuitExecutor(backend="packed").run(
-            circuit, 70, np.random.default_rng(1)
-        )
-        assert isinstance(batch.tableau, PackedBatchTableau)
-        assert (batch.measurements["one"] == scalar.measurements["one"]).all()
-        assert (batch.measurements["zero"] == scalar.measurements["zero"]).all()
-
     def test_auto_backend_selection(self):
-        from repro.stabilizer.fused import native_kernel_available
+        # One engine at every batch size: no switch below one 64-lane word.
+        circuit = Circuit(1).x(0).measure(0, label="m")
+        for batch in (1, 63, 64, 4096):
+            result = BatchedNoisyCircuitExecutor().run(circuit, batch, np.random.default_rng(0))
+            assert isinstance(result.tableau, FusedPackedBatchTableau)
+        strategy, engine = default_registry().resolve("auto")
+        assert (strategy.name, engine) == ("packed-fused", "packed-fused")
 
-        fast = "packed-fused" if native_kernel_available() else "packed"
-        assert resolve_backend("auto", 64) == fast
-        assert resolve_backend("auto", 63) == "uint8"
-        assert resolve_backend("packed", 1) == "packed"
-        assert resolve_backend("packed-fused", 1) == "packed-fused"
-        assert resolve_backend("uint8", 10**6) == "uint8"
-        with pytest.raises(SimulationError):
-            resolve_backend("simd", 64)
-        assert isinstance(create_batch_tableau("auto", 2, 64), PackedBatchTableau)
-        assert isinstance(create_batch_tableau("auto", 2, 8), BatchTableau)
-
-    def test_executor_rejects_conflicting_tableau_and_backend(self):
+    def test_executor_rejects_non_packed_tableau(self):
         circuit = Circuit(1).measure(0)
-        state = BatchTableau(1, 8)
-        with pytest.raises(SimulationError):
-            BatchedNoisyCircuitExecutor(backend="packed").run(
-                circuit, 8, np.random.default_rng(0), tableau=state
+        with pytest.raises(SimulationError, match="bit-packed"):
+            BatchedNoisyCircuitExecutor().run(
+                circuit, 8, np.random.default_rng(0), tableau=StabilizerTableau(1)
             )
 
     def test_executor_follows_passed_tableau_type(self):
@@ -413,177 +388,3 @@ class TestPackedExecutor:
         )
         assert result.tableau is state
         assert (result.measurements["m"] == 1).all()
-
-    def test_certain_measurement_noise_flips_every_lane(self):
-        noise = OperationNoise(p_measure=1.0)
-        circuit = Circuit(1).prepare(0).measure(0, label="out")
-        result = BatchedNoisyCircuitExecutor(noise=noise, backend="packed").run(
-            circuit, 70, np.random.default_rng(0)
-        )
-        assert (result.measurements["out"] == 1).all()
-        assert (result.error_count >= 1).all()
-
-    def test_movement_noise_requires_mapper(self):
-        noise = OperationNoise(p_move_per_cell=1.0)
-        circuit = Circuit(2).cnot(0, 1).measure(1, label="out")
-        without = BatchedNoisyCircuitExecutor(noise=noise, backend="packed").run(
-            circuit, 70, np.random.default_rng(0)
-        )
-        with_mapper = BatchedNoisyCircuitExecutor(
-            noise=noise, mapper=LayoutMapper(), backend="packed"
-        ).run(circuit, 70, np.random.default_rng(0))
-        assert (without.error_count == 0).all()
-        assert (with_mapper.error_count >= 1).all()
-
-    def test_identity_gate_noise_matches_per_shot_semantics(self):
-        noise = OperationNoise(p_single=1.0)
-        circuit = Circuit(1).prepare(0)
-        for _ in range(10):
-            circuit.append(Gate.gate("I", 0))
-        result = BatchedNoisyCircuitExecutor(noise=noise, backend="packed").run(
-            circuit, 66, np.random.default_rng(1)
-        )
-        assert (result.error_count == 10).all()
-
-    def test_custom_scalar_noise_model_falls_back_through_packed_hooks(self):
-        from repro.pauli import PauliTerm
-        from repro.stabilizer import NoiseModel
-
-        class AlwaysXAfterGates(NoiseModel):
-            """Scalar hooks only: packed hooks must pack the batch fallback."""
-
-            def sample_gate_error(self, name, qubits, rng):
-                return [PauliTerm(qubit=qubits[0], letter="X")]
-
-            def sample_preparation_error(self, qubit, rng):
-                return []
-
-            def measurement_flip(self, rng):
-                return False
-
-            def sample_movement_error(self, qubit, num_cells, rng):
-                return []
-
-        circuit = Circuit(1).prepare(0).z(0).measure(0, label="out")
-        result = BatchedNoisyCircuitExecutor(
-            noise=AlwaysXAfterGates(), backend="packed"
-        ).run(circuit, 70, np.random.default_rng(0))
-        assert (result.measurements["out"] == 1).all()
-        assert (result.error_count == 1).all()
-
-    @pytest.mark.parametrize("batch", [1, 65])
-    def test_uint8_and_packed_agree_on_deterministic_programs(self, batch):
-        circuit = (
-            Circuit(4)
-            .h(0)
-            .cnot(0, 1)
-            .cnot(0, 2)
-            .cnot(0, 3)
-            .cnot(0, 1)
-            .cnot(0, 2)
-            .cnot(0, 3)
-            .h(0)
-            .measure(0, label="a")
-            .prepare(1)
-            .x(1)
-            .measure(1, label="b")
-        )
-        uint8 = BatchedNoisyCircuitExecutor(backend="uint8").run(
-            circuit, batch, np.random.default_rng(0)
-        )
-        packed = BatchedNoisyCircuitExecutor(backend="packed").run(
-            circuit, batch, np.random.default_rng(0)
-        )
-        for label in ("a", "b"):
-            assert np.array_equal(uint8.measurements[label], packed.measurements[label])
-
-
-class TestSteaneCrossValidation:
-    """Packed vs uint8 vs per-shot agreement on the Figure 7 level-1 workload."""
-
-    def test_zero_noise_never_fails_packed(self):
-        params = EXPECTED_PARAMETERS.with_uniform_failure(0.0, keep_movement=False)
-        experiment = Level1EccExperiment(
-            noise=_noise_for_rate(0.0, params), backend="packed"
-        )
-        outcome = experiment.run_trial_batch_detailed(np.random.default_rng(3), 70)
-        assert not outcome["failure"].any()
-        assert outcome["verification_passed"].all()
-
-    def test_noiseless_ecc_cycle_reports_trivial_syndromes_packed(self):
-        from repro.qecc.decoder import LookupDecoder
-        from repro.qecc.encoder import steane_encode_zero_circuit
-        from repro.qecc.syndrome import full_error_correction_circuit
-
-        circuit, x_extraction, z_extraction = full_error_correction_circuit()
-        executor = BatchedNoisyCircuitExecutor(noise=NoiselessModel(), backend="packed")
-        batch = 70
-        rng = np.random.default_rng(4)
-        state = PackedBatchTableau(circuit.num_qubits, batch, rng=rng)
-        executor.run(
-            steane_encode_zero_circuit(num_qubits=circuit.num_qubits),
-            batch,
-            rng,
-            tableau=state,
-        )
-        result = executor.run(circuit, batch, rng, tableau=state)
-        code = LookupDecoder().code
-        for extraction in (x_extraction, z_extraction):
-            bits = result.bits(extraction.ancilla_measurement_labels)
-            check = code.hz if extraction.error_type == "X" else code.hx
-            syndromes = (bits.astype(np.int64) @ check.T.astype(np.int64)) % 2
-            assert not syndromes.any(), extraction.error_type
-
-    def test_noisy_failure_rates_within_three_sigma_of_uint8(self):
-        rate = 1.0e-2  # high enough for meaningful statistics at modest shots
-        trials = 3000
-        estimates = {}
-        for backend, seed in (("uint8", 2024), ("packed", 2025)):
-            experiment = Level1EccExperiment(
-                noise=_noise_for_rate(rate, EXPECTED_PARAMETERS), backend=backend
-            )
-            rng = np.random.default_rng(seed)
-            failures = 0
-            for _ in range(trials // 750):
-                failures += int(experiment.run_trial_batch(rng, 750).sum())
-            estimates[backend] = failures / trials
-        p_uint8 = estimates["uint8"]
-        p_packed = estimates["packed"]
-        combined_se = np.sqrt(
-            p_uint8 * (1 - p_uint8) / trials + p_packed * (1 - p_packed) / trials
-        )
-        assert abs(p_uint8 - p_packed) <= 3.0 * combined_se + 1e-12, estimates
-
-    def test_noisy_failure_rate_within_three_sigma_of_per_shot(self):
-        rate = 1.0e-2
-        experiment = Level1EccExperiment(
-            noise=_noise_for_rate(rate, EXPECTED_PARAMETERS), backend="packed"
-        )
-        packed_trials = 2250
-        rng_packed = np.random.default_rng(11)
-        packed_failures = sum(
-            int(experiment.run_trial_batch(rng_packed, 750).sum())
-            for _ in range(packed_trials // 750)
-        )
-        per_shot_trials = 500
-        rng_scalar = np.random.default_rng(12)
-        per_shot_failures = sum(
-            experiment.run_trial(rng_scalar) for _ in range(per_shot_trials)
-        )
-        p_packed = packed_failures / packed_trials
-        p_scalar = per_shot_failures / per_shot_trials
-        combined_se = np.sqrt(
-            p_packed * (1 - p_packed) / packed_trials
-            + p_scalar * (1 - p_scalar) / per_shot_trials
-        )
-        assert abs(p_packed - p_scalar) <= 3.0 * combined_se + 1e-12
-
-    def test_ragged_batch_detailed_outcome_fields(self):
-        experiment = Level1EccExperiment(
-            noise=_noise_for_rate(2e-3, EXPECTED_PARAMETERS), backend="packed"
-        )
-        outcome = experiment.run_trial_batch_detailed(np.random.default_rng(0), 70)
-        assert set(outcome) == {"failure", "nontrivial_syndrome", "verification_passed"}
-        for value in outcome.values():
-            assert value.shape == (70,)
-            assert value.dtype == bool
