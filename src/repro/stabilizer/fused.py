@@ -799,8 +799,8 @@ def kernel_tier() -> str:
 def native_kernel_available() -> bool:
     """Whether the compiled-C kernel tier is in effect.
 
-    Informational only (benchmarks record it): both tiers produce identical
-    results, and the engine runs on whichever one :func:`kernel_tier` picks.
+    Informational only: both tiers produce identical results, and the
+    engine runs on whichever one :func:`kernel_tier` picks.
     """
     try:
         return kernel_tier() == "cext"
