@@ -169,6 +169,16 @@ class TestSpecJsonRoundTrip:
 
 
 class TestRegistrySelection:
+    def test_packed_tier_chosen_at_64_lanes(self):
+        result = run(
+            ExperimentSpec(
+                experiment="logical_failure",
+                noise=NoiseSpec(physical_rates=(1e-3,)),
+                sampling=SamplingSpec(shots=64, seed=0, batch_size=1024),
+            )
+        )
+        assert (result.backend, result.engine) == ("packed-fused", "packed-fused")
+
     def test_auto_is_the_packed_fused_engine(self):
         registry = default_registry()
         strategy, engine = registry.resolve("auto")
@@ -196,6 +206,17 @@ class TestRegistrySelection:
         assert (strategy.name, engine) == ("sharded", "packed-fused")
         strategy, _ = registry.resolve("auto", num_shards=1)
         assert strategy.name != "sharded"
+
+    def test_sharding_shrinks_the_effective_batch(self):
+        # 256 shots over 8 shards -> 32-lane shards, still on the one engine.
+        result = run(
+            sweep_spec(
+                sampling=SamplingSpec(shots=256, seed=5, batch_size=1024),
+                execution=ExecutionSpec(backend="auto", num_shards=8, num_workers=0),
+            )
+        )
+        assert (result.backend, result.engine) == ("sharded", "packed-fused")
+        assert [mc.trials for mc in result.value.level1] == [256, 256]
 
     def test_explicit_engine_with_shards_runs_sharded(self):
         registry = default_registry()

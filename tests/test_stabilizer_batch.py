@@ -5,8 +5,9 @@ The batched engine (the compiled circuit IR and
 the fused kernel) must be indistinguishable from the per-shot path:
 deterministic-outcome circuits must agree *exactly* lane for lane, and noisy
 Monte-Carlo estimates must agree statistically (within three binomial standard
-errors) on the Steane syndrome-extraction workload.  Batch sizes of 70 lanes
-cover a ragged second word.
+errors) on the Steane syndrome-extraction workload.  Batches here fit in one
+64-lane word; ``test_stabilizer_packed.py`` repeats the executor checks on
+ragged multi-word batches.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class TestBatchedExecutor:
             .measure(1, label="zero")
         )
         scalar = NoisyCircuitExecutor().run(circuit, np.random.default_rng(0))
-        batch = BatchedNoisyCircuitExecutor().run(circuit, 70, np.random.default_rng(1))
+        batch = BatchedNoisyCircuitExecutor().run(circuit, 50, np.random.default_rng(1))
         assert isinstance(batch.tableau, FusedPackedBatchTableau)
         assert (batch.measurements["one"] == scalar.measurements["one"]).all()
         assert (batch.measurements["zero"] == scalar.measurements["zero"]).all()
@@ -104,7 +105,7 @@ class TestBatchedExecutor:
         noise = OperationNoise(p_measure=1.0)
         circuit = Circuit(1).prepare(0).measure(0, label="out")
         result = BatchedNoisyCircuitExecutor(noise=noise).run(
-            circuit, 70, np.random.default_rng(0)
+            circuit, 16, np.random.default_rng(0)
         )
         assert (result.measurements["out"] == 1).all()
         assert (result.error_count >= 1).all()
@@ -113,10 +114,10 @@ class TestBatchedExecutor:
         noise = OperationNoise(p_move_per_cell=1.0)
         circuit = Circuit(2).cnot(0, 1).measure(1, label="out")
         without = BatchedNoisyCircuitExecutor(noise=noise).run(
-            circuit, 70, np.random.default_rng(0)
+            circuit, 32, np.random.default_rng(0)
         )
         with_mapper = BatchedNoisyCircuitExecutor(noise=noise, mapper=LayoutMapper()).run(
-            circuit, 70, np.random.default_rng(0)
+            circuit, 32, np.random.default_rng(0)
         )
         assert (without.error_count == 0).all()
         assert (with_mapper.error_count >= 1).all()
@@ -126,7 +127,7 @@ class TestBatchedExecutor:
         executor = BatchedNoisyCircuitExecutor(noise=NoiselessModel())
         from repro.qecc.encoder import steane_encode_zero_circuit
 
-        batch = 70
+        batch = 32
         rng = np.random.default_rng(4)
         state = FusedPackedBatchTableau(circuit.num_qubits, batch, rng=rng)
         executor.run(
@@ -161,7 +162,7 @@ class TestBatchedExecutor:
 
         circuit = Circuit(1).prepare(0).z(0).measure(0, label="out")
         result = BatchedNoisyCircuitExecutor(noise=AlwaysXAfterGates()).run(
-            circuit, 70, np.random.default_rng(0)
+            circuit, 8, np.random.default_rng(0)
         )
         assert (result.measurements["out"] == 1).all()
         assert (result.error_count == 1).all()
@@ -197,7 +198,7 @@ class TestReviewRegressions:
             circuit.append(Gate.gate("I", 0))
         scalar = NoisyCircuitExecutor(noise=noise).run(circuit, np.random.default_rng(0))
         batched = BatchedNoisyCircuitExecutor(noise=noise).run(
-            circuit, 70, np.random.default_rng(1)
+            circuit, 16, np.random.default_rng(1)
         )
         assert scalar.error_count == 10
         assert (batched.error_count == 10).all()
@@ -323,7 +324,7 @@ class TestSteaneCrossValidation:
     def test_zero_noise_never_fails_batched(self):
         params = EXPECTED_PARAMETERS.with_uniform_failure(0.0, keep_movement=False)
         experiment = Level1EccExperiment(noise=_noise_for_rate(0.0, params))
-        outcome = experiment.run_trial_batch_detailed(np.random.default_rng(3), 70)
+        outcome = experiment.run_trial_batch_detailed(np.random.default_rng(3), 64)
         assert not outcome["failure"].any()
         assert outcome["verification_passed"].all()
 
@@ -379,8 +380,8 @@ class TestSteaneCrossValidation:
         experiment = Level1EccExperiment(
             noise=_noise_for_rate(2e-3, EXPECTED_PARAMETERS)
         )
-        outcome = experiment.run_trial_batch_detailed(np.random.default_rng(0), 70)
+        outcome = experiment.run_trial_batch_detailed(np.random.default_rng(0), 32)
         assert set(outcome) == {"failure", "nontrivial_syndrome", "verification_passed"}
         for value in outcome.values():
-            assert value.shape == (70,)
+            assert value.shape == (32,)
             assert value.dtype == bool

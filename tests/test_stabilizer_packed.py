@@ -6,7 +6,9 @@ indistinguishable from the scalar
 circuits agree *exactly* lane for lane (including ragged batch sizes not
 divisible by 64).  The fused engine must match the per-operation loop over
 this state (``packed_reference``) bit for bit, and the executor must honour a
-passed-in packed state.  The word-level helpers (pack/unpack, popcount with
+passed-in packed state and keep its per-shot semantics on ragged multi-word
+batches, up to three-sigma agreement with the per-shot path on the Steane
+level-1 workload.  The word-level helpers (pack/unpack, popcount with
 its lookup-table fallback) are pinned here too.
 """
 
@@ -18,9 +20,11 @@ import pytest
 import repro.stabilizer.packed as packed_module
 from packed_reference import run_packed_reference
 from repro.api import default_registry
-from repro.arq import BatchedNoisyCircuitExecutor, LayoutMapper
+from repro.arq import BatchedNoisyCircuitExecutor, LayoutMapper, NoisyCircuitExecutor
+from repro.arq.experiments import Level1EccExperiment, _noise_for_rate
 from repro.circuits import Circuit, Gate
 from repro.exceptions import SimulationError
+from repro.iontrap.parameters import EXPECTED_PARAMETERS
 from repro.pauli import PauliString
 from repro.stabilizer import (
     FusedPackedBatchTableau,
@@ -364,6 +368,23 @@ class TestRandomizedCrossValidation:
 
 
 class TestPackedExecutor:
+    """Executor semantics on ragged multi-word batches (66 and 70 lanes)."""
+
+    def test_deterministic_circuit_matches_per_shot_exactly(self):
+        circuit = (
+            Circuit(3)
+            .prepare(0)
+            .x(0)
+            .measure(0, label="one")
+            .prepare(1)
+            .measure(1, label="zero")
+        )
+        scalar = NoisyCircuitExecutor().run(circuit, np.random.default_rng(0))
+        batch = BatchedNoisyCircuitExecutor().run(circuit, 70, np.random.default_rng(1))
+        assert isinstance(batch.tableau, PackedBatchTableau)
+        assert (batch.measurements["one"] == scalar.measurements["one"]).all()
+        assert (batch.measurements["zero"] == scalar.measurements["zero"]).all()
+
     def test_auto_backend_selection(self):
         # One engine at every batch size: no switch below one 64-lane word.
         circuit = Circuit(1).x(0).measure(0, label="m")
@@ -388,3 +409,127 @@ class TestPackedExecutor:
         )
         assert result.tableau is state
         assert (result.measurements["m"] == 1).all()
+
+    def test_certain_measurement_noise_flips_every_lane(self):
+        noise = OperationNoise(p_measure=1.0)
+        circuit = Circuit(1).prepare(0).measure(0, label="out")
+        result = BatchedNoisyCircuitExecutor(noise=noise).run(
+            circuit, 70, np.random.default_rng(0)
+        )
+        assert (result.measurements["out"] == 1).all()
+        assert (result.error_count >= 1).all()
+
+    def test_movement_noise_requires_mapper(self):
+        noise = OperationNoise(p_move_per_cell=1.0)
+        circuit = Circuit(2).cnot(0, 1).measure(1, label="out")
+        without = BatchedNoisyCircuitExecutor(noise=noise).run(
+            circuit, 70, np.random.default_rng(0)
+        )
+        with_mapper = BatchedNoisyCircuitExecutor(noise=noise, mapper=LayoutMapper()).run(
+            circuit, 70, np.random.default_rng(0)
+        )
+        assert (without.error_count == 0).all()
+        assert (with_mapper.error_count >= 1).all()
+
+    def test_identity_gate_noise_matches_per_shot_semantics(self):
+        noise = OperationNoise(p_single=1.0)
+        circuit = Circuit(1).prepare(0)
+        for _ in range(10):
+            circuit.append(Gate.gate("I", 0))
+        result = BatchedNoisyCircuitExecutor(noise=noise).run(
+            circuit, 66, np.random.default_rng(1)
+        )
+        assert (result.error_count == 10).all()
+
+    def test_custom_scalar_noise_model_falls_back_through_packed_hooks(self):
+        from repro.pauli import PauliTerm
+        from repro.stabilizer import NoiseModel
+
+        class AlwaysXAfterGates(NoiseModel):
+            """Scalar hooks only: packed hooks must pack the batch fallback."""
+
+            def sample_gate_error(self, name, qubits, rng):
+                return [PauliTerm(qubit=qubits[0], letter="X")]
+
+            def sample_preparation_error(self, qubit, rng):
+                return []
+
+            def measurement_flip(self, rng):
+                return False
+
+            def sample_movement_error(self, qubit, num_cells, rng):
+                return []
+
+        circuit = Circuit(1).prepare(0).z(0).measure(0, label="out")
+        result = BatchedNoisyCircuitExecutor(noise=AlwaysXAfterGates()).run(
+            circuit, 70, np.random.default_rng(0)
+        )
+        assert (result.measurements["out"] == 1).all()
+        assert (result.error_count == 1).all()
+
+
+class TestSteaneCrossValidation:
+    """Packed vs per-shot agreement on the Figure 7 level-1 workload."""
+
+    def test_zero_noise_never_fails_packed(self):
+        params = EXPECTED_PARAMETERS.with_uniform_failure(0.0, keep_movement=False)
+        experiment = Level1EccExperiment(noise=_noise_for_rate(0.0, params))
+        outcome = experiment.run_trial_batch_detailed(np.random.default_rng(3), 70)
+        assert not outcome["failure"].any()
+        assert outcome["verification_passed"].all()
+
+    def test_noiseless_ecc_cycle_reports_trivial_syndromes_packed(self):
+        from repro.qecc.decoder import LookupDecoder
+        from repro.qecc.encoder import steane_encode_zero_circuit
+        from repro.qecc.syndrome import full_error_correction_circuit
+
+        circuit, x_extraction, z_extraction = full_error_correction_circuit()
+        executor = BatchedNoisyCircuitExecutor(noise=NoiselessModel())
+        batch = 70
+        rng = np.random.default_rng(4)
+        # A plain packed state: the executor runs it in place.
+        state = PackedBatchTableau(circuit.num_qubits, batch, rng=rng)
+        executor.run(
+            steane_encode_zero_circuit(num_qubits=circuit.num_qubits),
+            batch,
+            rng,
+            tableau=state,
+        )
+        result = executor.run(circuit, batch, rng, tableau=state)
+        assert result.tableau is state
+        code = LookupDecoder().code
+        for extraction in (x_extraction, z_extraction):
+            bits = result.bits(extraction.ancilla_measurement_labels)
+            check = code.hz if extraction.error_type == "X" else code.hx
+            syndromes = (bits.astype(np.int64) @ check.T.astype(np.int64)) % 2
+            assert not syndromes.any(), extraction.error_type
+
+    def test_noisy_failure_rate_within_three_sigma_of_per_shot(self):
+        rate = 1.0e-2
+        experiment = Level1EccExperiment(noise=_noise_for_rate(rate, EXPECTED_PARAMETERS))
+        packed_trials = 2250
+        rng_packed = np.random.default_rng(11)
+        packed_failures = sum(
+            int(experiment.run_trial_batch(rng_packed, 750).sum())
+            for _ in range(packed_trials // 750)
+        )
+        per_shot_trials = 500
+        rng_scalar = np.random.default_rng(12)
+        per_shot_failures = sum(
+            experiment.run_trial(rng_scalar) for _ in range(per_shot_trials)
+        )
+        p_packed = packed_failures / packed_trials
+        p_scalar = per_shot_failures / per_shot_trials
+        combined_se = np.sqrt(
+            p_packed * (1 - p_packed) / packed_trials
+            + p_scalar * (1 - p_scalar) / per_shot_trials
+        )
+        assert abs(p_packed - p_scalar) <= 3.0 * combined_se + 1e-12
+
+    def test_ragged_batch_detailed_outcome_fields(self):
+        experiment = Level1EccExperiment(noise=_noise_for_rate(2e-3, EXPECTED_PARAMETERS))
+        outcome = experiment.run_trial_batch_detailed(np.random.default_rng(0), 70)
+        assert set(outcome) == {"failure", "nontrivial_syndrome", "verification_passed"}
+        for value in outcome.values():
+            assert value.shape == (70,)
+            assert value.dtype == bool
