@@ -14,7 +14,7 @@ _README = Path(__file__).resolve().parent / "README.md"
 
 setup(
     name="repro-qla-arq",
-    version="1.8.0",
+    version="1.9.0",
     description=(
         "Reproduction of the QLA quantum architecture study: ion-trap model, "
         "ARQ stabilizer simulator with a fused bit-packed Monte-Carlo engine "
@@ -28,9 +28,11 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    # networkx routes the interconnect mesh (repro.network) and sorts
+    # circuit DAGs (repro.circuits.dag); `import repro` needs it.
+    install_requires=["numpy", "networkx"],
     extras_require={
-        "test": ["pytest", "pytest-benchmark"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis"],
         # The experiment service (repro.service / repro-serve) is pure
         # stdlib -- http.server + sqlite3 -- so the extra is empty on
         # purpose: `pip install repro-qla-arq[service]` documents intent

@@ -100,7 +100,6 @@ class ExecutionBackend(Protocol):
         shots: int,
         *,
         seed: int | tuple[int, ...] | np.random.SeedSequence | None = None,
-        rng: np.random.Generator | None = None,
         batch_size: int = 1024,
         max_failures: int | None = None,
         num_shards: int = 1,
@@ -110,19 +109,14 @@ class ExecutionBackend(Protocol):
 
 def _seeded_rng(
     seed: int | tuple[int, ...] | np.random.SeedSequence | None,
-    rng: np.random.Generator | None,
 ) -> np.random.Generator:
-    """One generator from either an explicit rng or a seed.
+    """One generator from a seed, or fresh entropy without one.
 
     A seed is coerced to a SeedSequence and *spawned once*, matching the
     single-shard plan of :mod:`repro.parallel` exactly -- so an unsharded
     seeded run and a ``num_shards=1`` sharded run of the same seed are
     bit-for-bit identical.
     """
-    if rng is not None:
-        if seed is not None:
-            raise ParameterError("pass either rng or seed, not both")
-        return rng
     if seed is None:
         return np.random.default_rng()
     from repro.parallel import as_seed_sequence
@@ -151,7 +145,7 @@ class ScalarBackend:
         supports_batching=False, supports_sharding=False
     )
 
-    def estimate(self, task, shots, *, seed=None, rng=None, batch_size=1024,
+    def estimate(self, task, shots, *, seed=None, batch_size=1024,
                  max_failures=None, num_shards=1, num_workers=0) -> MonteCarloResult:
         _reject_shards(self.name, num_shards)
         run_single = getattr(task, "run_single", None)
@@ -159,7 +153,7 @@ class ScalarBackend:
             raise ParameterError(
                 f"the scalar backend needs a task with a run_single(rng) method, got {type(task).__name__}"
             )
-        return estimate_failure_rate(run_single, shots, _seeded_rng(seed, rng), max_failures=max_failures)
+        return estimate_failure_rate(run_single, shots, _seeded_rng(seed), max_failures=max_failures)
 
 
 @dataclass(frozen=True)
@@ -173,11 +167,11 @@ class EngineBackend:
     name: str = ENGINE
     capabilities: BackendCapabilities = BackendCapabilities()
 
-    def estimate(self, task, shots, *, seed=None, rng=None, batch_size=1024,
+    def estimate(self, task, shots, *, seed=None, batch_size=1024,
                  max_failures=None, num_shards=1, num_workers=0) -> MonteCarloResult:
         _reject_shards(self.name, num_shards)
         return estimate_failure_rate_batched(
-            task, shots, _seeded_rng(seed, rng), batch_size=batch_size, max_failures=max_failures
+            task, shots, _seeded_rng(seed), batch_size=batch_size, max_failures=max_failures
         )
 
 
@@ -197,7 +191,7 @@ class DesimBackend:
         supports_batching=False, supports_sharding=False
     )
 
-    def estimate(self, task, shots, *, seed=None, rng=None, batch_size=1024,
+    def estimate(self, task, shots, *, seed=None, batch_size=1024,
                  max_failures=None, num_shards=1, num_workers=0) -> MonteCarloResult:
         raise ParameterError(
             "the desim backend replays compiled circuits cycle-by-cycle; it has "
@@ -262,12 +256,10 @@ class ShardedBackend:
         supports_batching=True, supports_sharding=True
     )
 
-    def estimate(self, task, shots, *, seed=None, rng=None, batch_size=1024,
+    def estimate(self, task, shots, *, seed=None, batch_size=1024,
                  max_failures=None, num_shards=1, num_workers=0) -> MonteCarloResult:
         if seed is None:
             raise ParameterError("the sharded backend needs a seed; its shard plan is seed-derived")
-        if rng is not None:
-            raise ParameterError("the sharded backend takes a seed, not a generator")
         from repro.parallel import estimate_failure_rate_sharded
 
         return estimate_failure_rate_sharded(

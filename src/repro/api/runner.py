@@ -104,26 +104,26 @@ def _estimate(strategy: ExecutionBackend, task, spec: ExperimentSpec, seed):
 
 
 def _run_threshold_sweep(spec: ExperimentSpec, registry: BackendRegistry):
-    # One implementation is shared with the deprecated kwargs entry point
-    # (repro.arq.experiments.run_threshold_sweep), which is what makes the
-    # old and new paths bit-for-bit identical at a fixed seed.
-    from repro.arq.experiments import _seeded_threshold_sweep
+    # The strategy resolves once; the root SeedSequence spawns one child per
+    # swept rate, and each point runs the shard plan of repro.parallel from
+    # its child -- so a fixed (seed, num_shards) reproduces on any worker count.
+    from repro.arq.experiments import sweep_result_from_level1
+    from repro.parallel import as_seed_sequence
 
-    return _seeded_threshold_sweep(
-        spec.noise.physical_rates,
-        spec.sampling.shots,
-        spec.sampling.seed,
-        parameters=spec.noise.parameter_set(),
-        mapper=spec.circuit.mapper(),
-        backend=spec.execution.backend,
+    strategy, engine = _resolve(spec, registry)
+    rates = spec.noise.physical_rates
+    point_seeds = as_seed_sequence(spec.sampling.seed).spawn(len(rates))
+    level1 = [
+        _estimate(strategy, _make_task(spec, rate, "failure"), spec, point_seed)
+        for rate, point_seed in zip(rates, point_seeds)
+    ]
+    sweep = sweep_result_from_level1(
+        rates,
+        level1,
+        seed_entropy=_normalized_entropy(spec.sampling.seed),
         num_shards=spec.execution.num_shards,
-        num_workers=spec.execution.num_workers,
-        batch_size=spec.sampling.batch_size,
-        max_failures=spec.sampling.max_failures,
-        verified_ancilla=spec.circuit.verified_ancilla,
-        max_preparation_attempts=spec.circuit.max_preparation_attempts,
-        registry=registry,
     )
+    return sweep, strategy.name, engine
 
 
 def _run_logical_failure(spec: ExperimentSpec, registry: BackendRegistry):

@@ -82,6 +82,11 @@ def _require(condition: bool, message: str) -> None:
         raise ParameterError(message)
 
 
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is a JSON integer: an ``int``, but not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _from_mapping(cls, data: object, context: str):
     """Strictly build a spec dataclass from a JSON mapping."""
     if not isinstance(data, dict):
@@ -206,10 +211,19 @@ class SamplingSpec:
     batch_size: int = 1024
 
     def __post_init__(self) -> None:
-        _require(self.shots >= 0, "shots must be non-negative")
-        _require(self.batch_size >= 1, "batch_size must be positive")
+        _require(
+            _is_int(self.shots) and self.shots >= 0,
+            f"shots must be a non-negative int, got {self.shots!r}",
+        )
+        _require(
+            _is_int(self.batch_size) and self.batch_size >= 1,
+            f"batch_size must be a positive int, got {self.batch_size!r}",
+        )
         if self.max_failures is not None:
-            _require(self.max_failures >= 1, "max_failures must be positive when set")
+            _require(
+                _is_int(self.max_failures) and self.max_failures >= 1,
+                f"max_failures must be a positive int when set, got {self.max_failures!r}",
+            )
         if self.seed is not None:
             seed = self.seed
             if isinstance(seed, list):
@@ -217,11 +231,11 @@ class SamplingSpec:
                 object.__setattr__(self, "seed", seed)
             if isinstance(seed, tuple):
                 _require(
-                    len(seed) > 0 and all(isinstance(word, int) and word >= 0 for word in seed),
-                    "a tuple seed must contain non-negative ints",
+                    len(seed) > 0 and all(_is_int(word) and word >= 0 for word in seed),
+                    f"a tuple seed must contain non-negative ints, got {seed!r}",
                 )
             else:
-                _require(isinstance(seed, int) and seed >= 0, "seed must be a non-negative int")
+                _require(_is_int(seed) and seed >= 0, f"seed must be a non-negative int, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -251,8 +265,14 @@ class ExecutionSpec:
 
     def __post_init__(self) -> None:
         _require(isinstance(self.backend, str) and bool(self.backend), "backend must be a non-empty string")
-        _require(self.num_shards >= 1, "num_shards must be >= 1")
-        _require(self.num_workers >= 0, "num_workers must be >= 0")
+        _require(
+            _is_int(self.num_shards) and self.num_shards >= 1,
+            f"num_shards must be an int >= 1, got {self.num_shards!r}",
+        )
+        _require(
+            _is_int(self.num_workers) and self.num_workers >= 0,
+            f"num_workers must be an int >= 0, got {self.num_workers!r}",
+        )
 
 
 @dataclass(frozen=True)

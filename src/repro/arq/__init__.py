@@ -28,8 +28,6 @@ from repro.arq.simulator import (
 from repro.arq.experiments import (
     Level1EccExperiment,
     ThresholdSweepResult,
-    run_threshold_sweep,
-    syndrome_rate_estimate,
 )
 
 __all__ = [
@@ -43,6 +41,4 @@ __all__ = [
     "BatchExecutionResult",
     "Level1EccExperiment",
     "ThresholdSweepResult",
-    "run_threshold_sweep",
-    "syndrome_rate_estimate",
 ]

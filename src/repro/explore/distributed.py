@@ -14,10 +14,12 @@ The claim protocol
 
 Claims live under ``<cache dir>/claims/``, one file per cache key:
 
-* **Acquire** creates ``<key>.claim`` with ``O_CREAT | O_EXCL`` -- the
-  filesystem's atomic "exactly one winner" primitive -- containing a
-  :class:`ClaimRecord` (worker identity, lease length, timestamps, reap
-  generation).  Losing the race means another worker owns the point.
+* **Acquire** creates ``<key>.claim`` by hard-linking a fully written
+  temporary file into place -- ``link`` refuses an existing name, the
+  filesystem's atomic "exactly one winner" primitive, and the claim never
+  exists without its content -- holding a :class:`ClaimRecord` (worker
+  identity, lease length, timestamps, reap generation).  Losing the race
+  means another worker owns the point.
 * **Heartbeat.**  While executing, the owner refreshes
   :attr:`ClaimRecord.heartbeat_at` every ``lease_seconds / 3`` (atomic
   tmp + ``os.replace``).  A claim whose heartbeat is older than its lease
@@ -28,7 +30,7 @@ Claims live under ``<cache dir>/claims/``, one file per cache key:
   really is the stale one (a faster reaper may have reaped and re-created
   a live claim between our read and our rename -- that successor is
   restored with a no-clobber ``os.link`` and the reap backs off), then
-  re-acquire with ``O_EXCL`` at ``generation + 1``.  The generation
+  re-acquire the same way at ``generation + 1``.  The generation
   counter is what lets the fault harness kill *first* claimants
   deterministically while their reapers survive
   (:data:`repro.faults.EXPLORE_CLAIM`).
@@ -42,7 +44,7 @@ concurrently with the reaper: both execute the same seed-pinned spec, both
 produce bit-identical results, and the cache's atomic ``os.replace``
 makes the double write invisible.  Claims are purely a *work-deduplication*
 lease; correctness comes from content addressing and determinism.  The
-practical requirements are a shared filesystem with atomic ``O_EXCL`` /
+practical requirements are a shared filesystem with atomic ``link`` /
 ``rename`` (POSIX local disks, NFSv3+) and clocks that agree to within a
 fraction of the lease.
 
@@ -86,6 +88,7 @@ from repro.explore.supervisor import (
     execute_supervised,
     execute_with_retry,
 )
+from repro.parallel import _pool_context
 
 __all__ = [
     "CLAIMS_SUBDIR",
@@ -241,14 +244,24 @@ class ClaimStore:
     # -- primitive operations -------------------------------------------------
 
     def _write_exclusive(self, path: Path, record: ClaimRecord) -> bool:
-        """Atomically create ``path`` with ``record``; False if it exists."""
+        """Atomically create ``path`` with ``record``; False if it exists.
+
+        The record is written to a private temporary file and hard-linked
+        into place, so the claim appears with its content.  A claim created
+        empty and filled afterwards could be read in between as torn, and a
+        torn claim is reapable: a second worker would steal the point its
+        creator is about to execute.
+        """
         self.directory.mkdir(parents=True, exist_ok=True)
+        handle, temp_name = tempfile.mkstemp(dir=self.directory, prefix=".new-", suffix=".tmp")
         try:
-            handle = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            with os.fdopen(handle, "w") as stream:
+                stream.write(record.to_json())
+            os.link(temp_name, path)
         except FileExistsError:
             return False
-        with os.fdopen(handle, "w") as stream:
-            stream.write(record.to_json())
+        finally:
+            os.unlink(temp_name)
         return True
 
     def read(self, key: str) -> ClaimRecord | None:
@@ -388,13 +401,15 @@ class ClaimStore:
             return False
         return True
 
-    def cleanup_stale(self, key: str) -> bool:
+    def cleanup_stale(self, key: str, exited_workers: tuple[str, ...] = ()) -> bool:
         """Remove a stale claim left by a worker that died *after* caching.
 
         A worker killed between its cache write and its release leaves a
         claim file that no longer guards anything (the result exists).
         Any worker that resolves the point from the cache calls this to
-        garbage-collect the leftover; fresh claims are never touched.
+        garbage-collect the leftover; fresh claims are never touched,
+        unless their owner's identity starts with one of
+        ``exited_workers`` -- processes the caller knows have exited.
         """
         current = self.read(key)
         if current is None:
@@ -404,7 +419,7 @@ class ClaimStore:
             path = self.path_for(key)
             if not path.exists():
                 return False
-        elif not self.is_stale(current):
+        elif not (self.is_stale(current) or current.worker.startswith(exited_workers)):
             return False
         tombstone = self.directory / f".{key[:16]}.reaped-{uuid.uuid4().hex}"
         try:
@@ -729,8 +744,8 @@ def run_sweep_distributed(
     is a pure replay (``merged.result.cache_misses == 0``); if workers
     died it is the crash-resume path -- stale claims are reaped and the
     uncovered tail executes in the parent -- so the merge *always*
-    completes the grid.  Leftover stale claims (workers killed between
-    caching and releasing) are garbage-collected before merging.
+    completes the grid.  Claims left by workers killed between caching
+    and releasing are garbage-collected after the merge.
 
     The merged result is bit-for-bit equal to a serial
     :func:`~repro.explore.runner.run_sweep` of the same sweep --
@@ -760,13 +775,7 @@ def run_sweep_distributed(
     the_cache = cache if cache is not None else ResultCache()
     the_cache.directory.mkdir(parents=True, exist_ok=True)
 
-    import multiprocessing
-
-    context = (
-        multiprocessing.get_context("fork")
-        if __import__("sys").platform.startswith("linux")
-        else multiprocessing.get_context()
-    )
+    context = _pool_context()
     sweep_json = sweep.to_json()
     reports_dir = Path(tempfile.mkdtemp(prefix="repro-dist-", dir=the_cache.directory))
     processes = []
@@ -837,8 +846,11 @@ def run_sweep_distributed(
         progress=progress,
         stream=stream,
     )
-    # GC any stale claims left by workers killed after caching a point.
+    # GC the claims left by workers killed after caching a point: stale
+    # ones, and fresh ones held by this run's workers, which have all
+    # exited (a victim's lease may not have lapsed yet).
+    exited = tuple(f"{socket.gethostname()}:{process.pid}:" for process in processes)
     claims = ClaimStore.for_cache(the_cache, lease_seconds=lease_seconds)
     for point in merged.points:
-        claims.cleanup_stale(point.cache_key)
+        claims.cleanup_stale(point.cache_key, exited_workers=exited)
     return DistributedRun(result=merged, workers=tuple(reports))

@@ -1,4 +1,4 @@
-"""Process-level sharding of Monte-Carlo sweeps.
+"""Process-level sharding of Monte-Carlo sweeps, and the one supervised pool.
 
 The bit-packed engine makes one core fast; this module makes *all* cores
 fast.  A Monte-Carlo estimate of ``trials`` shots is split into ``num_shards``
@@ -24,29 +24,36 @@ Shards return their outcomes bit-packed (64 shots per ``uint64`` word, via
 small at million-shot scale; the aggregator counts failures with
 :func:`repro.stabilizer.packed.popcount` and only unpacks when an early-stop
 walk needs shot granularity.
+
+Every process pool of the library runs on :func:`execute_pooled`: pooled
+shards here, and the sweep points of :mod:`repro.explore.supervisor`.  It
+harvests jobs as they finish, enforces per-job timeouts, retries failed
+jobs with bounded backoff (:class:`RetryPolicy`), and survives a worker
+killed mid-job by respawning the pool and isolating the culprit.  Retries
+never change values: every job carries its own pinned seed.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import sys
-import warnings
-from concurrent.futures import ProcessPoolExecutor
+import time
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.arq.mapper import LayoutMapper
-from repro.exceptions import ParameterError
+from repro.exceptions import ParameterError, QLAError
 from repro.iontrap.parameters import EXPECTED_PARAMETERS, IonTrapParameters
 from repro.stabilizer.monte_carlo import MonteCarloResult, scan_early_stop
 from repro.stabilizer.packed import pack_bits, popcount, unpack_bits
 
 __all__ = [
     "DEFAULT_SHARD_BATCH_SIZE",
-    "DEFAULT_NUM_SHARDS",
     "ShardOutcome",
     "Level1ShardTask",
     "as_seed_sequence",
@@ -55,17 +62,15 @@ __all__ = [
     "run_sharded_outcomes",
     "aggregate_shard_outcomes",
     "estimate_failure_rate_sharded",
-    "run_threshold_sweep_sharded",
+    "PointTimeoutError",
+    "WorkerCrashError",
+    "RetryPolicy",
+    "PoolJob",
+    "execute_pooled",
 ]
 
 #: Shots handed to a batch trial at once inside one shard.
 DEFAULT_SHARD_BATCH_SIZE = 1024
-
-#: Default shard count of the convenience sweep front-end.  Deliberately a
-#: fixed constant, NOT the machine's core count: the shard plan determines
-#: the random streams, so a machine-dependent default would make identical
-#: calls produce different numbers on different hardware.
-DEFAULT_NUM_SHARDS = 8
 
 
 def as_seed_sequence(
@@ -173,8 +178,13 @@ def _run_shard(
     count: int,
     batch_size: int,
     max_failures: int | None,
+    attempt: int = 0,
 ) -> ShardOutcome:
-    """Worker entry point: run one shard from its own SeedSequence child."""
+    """Worker entry point: run one shard from its own SeedSequence child.
+
+    ``attempt`` is the pool's retry counter (see :func:`execute_pooled`); a
+    shard ignores it, because its outcomes are a pure function of its seed.
+    """
     rng = np.random.default_rng(seed)
     outcomes = _collect_outcomes(task, count, rng, batch_size, max_failures)
     return ShardOutcome(words=pack_bits(outcomes), count=int(outcomes.size))
@@ -206,7 +216,10 @@ def run_sharded_outcomes(
         Number of shards; fixed by the caller, NOT by the worker count, so the
         same ``(seed, num_shards)`` pair is reproducible on any machine.
     num_workers:
-        ``0``/``1`` runs shards in-process; larger values use a process pool.
+        ``0``/``1`` runs shards in-process; larger values run them on the
+        supervised pool (:func:`execute_pooled`) under the default
+        :class:`RetryPolicy`, so a shard whose worker dies is re-run from its
+        pinned seed.  A shard that exhausts its retries raises its error.
     batch_size:
         Shots per batched call inside a shard.
     max_failures:
@@ -222,20 +235,26 @@ def run_sharded_outcomes(
     ]
     if num_workers <= 1:
         return [_run_shard(*job) for job in jobs]
-    if sys.platform.startswith("linux"):
-        # Fork is the cheap start method and safe on Linux.  On macOS forking
-        # a process with Objective-C / threaded-BLAS state is unsafe (CPython
-        # switched the macOS default to spawn for that reason), so everywhere
-        # else we take the platform default; the shard tasks are fully
-        # picklable, and determinism only depends on the seed-derived shard
-        # plan, never on the start method.
-        context = multiprocessing.get_context("fork")
-    else:  # pragma: no cover - exercised on macOS/Windows only
-        context = multiprocessing.get_context()
-    workers = min(num_workers, max(1, len(jobs)))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        futures = [pool.submit(_run_shard, *job) for job in jobs]
-        return [future.result() for future in futures]
+    shards: list[ShardOutcome | None] = [None] * len(jobs)
+    errors: dict[int, Exception] = {}
+
+    def resolve(job: PoolJob, payload, error: Exception | None) -> None:
+        if error is None:
+            shards[job.index] = payload
+        else:
+            errors[job.index] = error
+
+    execute_pooled(
+        _run_shard,
+        jobs,
+        policy=RetryPolicy(),
+        workers=min(num_workers, len(jobs)),
+        resolve=resolve,
+        label="shard",
+    )
+    if errors:
+        raise errors[min(errors)]
+    return shards  # type: ignore[return-value]
 
 
 def aggregate_shard_outcomes(
@@ -397,65 +416,309 @@ class Level1ShardTask:
         return bool(self._experiment().run_trial_detailed(rng)[self.metric])
 
 
-#: Keywords :func:`run_threshold_sweep_sharded` forwards to the seeded sweep.
-_SHARDED_SWEEP_KWARGS = frozenset(
-    {"parameters", "mapper", "batch_size", "backend", "max_failures"}
-)
+# ----------------------------------------------------------------------
+# The supervised process pool
+# ----------------------------------------------------------------------
 
 
-def run_threshold_sweep_sharded(
-    physical_rates: Sequence[float],
-    trials: int,
-    seed: int | np.random.SeedSequence,
-    num_shards: int | None = None,
-    num_workers: int | None = None,
-    **kwargs,
-):
-    """Figure 7 sweep sharded across a process pool.
+class PointTimeoutError(QLAError):
+    """A pooled job (sweep point or shard) exceeded its per-attempt timeout."""
 
-    .. deprecated::
-        Build an :class:`~repro.api.specs.ExperimentSpec` with
-        ``ExecutionSpec(num_shards=..., num_workers=...)`` and call
-        :func:`repro.api.run` instead.
 
-    Convenience front-end to
-    :func:`repro.arq.experiments.run_threshold_sweep`: ``num_workers``
-    defaults to the machine's CPU count while ``num_shards`` defaults to the
-    fixed :data:`DEFAULT_NUM_SHARDS` (never the core count -- the shard plan
-    decides the random streams, so it must not vary across machines), and
-    every remaining keyword (``parameters``, ``mapper``, ``batch_size``,
-    ``backend``, ``max_failures``) is forwarded.  Unknown keywords raise
-    :class:`TypeError` -- exactly like a misspelled keyword on the serial
-    sweep.  For a fixed ``(seed, num_shards)`` the result is bit-for-bit
-    identical to the serial seeded sweep on any worker count.
+class WorkerCrashError(QLAError):
+    """The worker process executing a pooled job died abruptly."""
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Failure-handling knobs for supervised execution.
+
+    Attributes
+    ----------
+    point_timeout:
+        Wall-clock budget per attempt, in seconds; ``None`` disables
+        timeouts.  Only enforceable on a pool (a hung in-process job
+        cannot be preempted).
+    max_retries:
+        Retries *after* the first attempt; a job runs at most
+        ``max_retries + 1`` times before it fails terminally.
+    backoff_base / backoff_factor / backoff_cap:
+        Delay before retry ``k`` (1-based) is
+        ``min(backoff_cap, backoff_base * backoff_factor**(k - 1))`` --
+        deterministic bounded exponential backoff, no jitter, so faulted
+        runs replay identically.
     """
-    warnings.warn(
-        "run_threshold_sweep_sharded is deprecated; build an ExperimentSpec "
-        "with ExecutionSpec(num_shards=..., num_workers=...) and call "
-        "repro.api.run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    unknown = sorted(set(kwargs) - _SHARDED_SWEEP_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"run_threshold_sweep_sharded() got unexpected keyword argument(s) "
-            f"{unknown}; accepted keywords: {sorted(_SHARDED_SWEEP_KWARGS)}"
-        )
-    from repro.arq.experiments import run_threshold_sweep
 
-    if num_workers is None:
-        num_workers = os.cpu_count() or 1
-    if num_shards is None:
-        num_shards = DEFAULT_NUM_SHARDS
-    with warnings.catch_warnings():
-        # The forwarding call would repeat the deprecation warning just issued.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return run_threshold_sweep(
-            physical_rates,
-            trials,
-            seed=seed,
-            num_shards=num_shards,
-            num_workers=num_workers,
-            **kwargs,
-        )
+    point_timeout: float | None = None
+    max_retries: int = 2
+    backoff_base: float = 0.05
+    backoff_factor: float = 2.0
+    backoff_cap: float = 5.0
+
+    def __post_init__(self) -> None:
+        if self.point_timeout is not None and (
+            not isinstance(self.point_timeout, (int, float)) or self.point_timeout <= 0
+        ):
+            raise ParameterError(
+                f"point_timeout must be a positive number of seconds or None, "
+                f"got {self.point_timeout!r}"
+            )
+        if not isinstance(self.max_retries, int) or isinstance(self.max_retries, bool) or self.max_retries < 0:
+            raise ParameterError(f"max_retries must be a non-negative int, got {self.max_retries!r}")
+        for name in ("backoff_base", "backoff_cap"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or value < 0:
+                raise ParameterError(f"{name} must be a non-negative number, got {value!r}")
+        if not isinstance(self.backoff_factor, (int, float)) or self.backoff_factor < 1.0:
+            raise ParameterError(f"backoff_factor must be >= 1, got {self.backoff_factor!r}")
+
+    def backoff(self, failed_attempts: int) -> float:
+        """Delay before the retry following the given number of failures."""
+        if self.backoff_base <= 0.0 or failed_attempts <= 0:
+            return 0.0
+        return min(self.backoff_cap, self.backoff_base * self.backoff_factor ** (failed_attempts - 1))
+
+
+def _pool_context():
+    """The start method of every process the library spawns.
+
+    Fork is the cheap start method and safe on Linux.  On macOS forking a
+    process with Objective-C / threaded-BLAS state is unsafe (CPython
+    switched the macOS default to spawn for that reason), so everywhere else
+    the platform default is taken; pooled jobs are fully picklable, and
+    determinism only depends on their pinned seeds, never on the start
+    method.
+    """
+    if sys.platform.startswith("linux"):
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()  # pragma: no cover - non-Linux only
+
+
+class PoolJob:
+    """Supervision state of one pooled job, handed to the ``resolve`` callback.
+
+    ``index`` is the job's position in the submitted list, ``attempts``
+    counts the executions charged to it (a pool break with several jobs in
+    flight charges nobody until the culprit is isolated), and ``elapsed``
+    is the wall-clock spent on it across attempts, backoff waits excluded.
+    """
+
+    __slots__ = ("index", "args", "attempts", "eligible_at", "started_at", "elapsed")
+
+    def __init__(self, index: int, args: tuple) -> None:
+        self.index = index
+        self.args = args
+        self.attempts = 0          # charged (actually failed or completed) executions
+        self.eligible_at = 0.0     # monotonic time before which the job must not resubmit
+        self.started_at = 0.0      # monotonic start of the current attempt
+        self.elapsed = 0.0         # accumulated wall-clock across attempts
+
+
+def _kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Tear a pool down even when a worker is hung: SIGKILL, then shutdown."""
+    processes = getattr(pool, "_processes", None) or {}
+    for process in list(processes.values()):
+        try:
+            process.kill()
+        except Exception:  # pragma: no cover - racing an exiting worker
+            pass
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
+def execute_pooled(
+    function: Callable[..., object],
+    jobs: Sequence[tuple],
+    *,
+    policy: RetryPolicy,
+    workers: int,
+    resolve: Callable[[PoolJob, object, Exception | None], None],
+    label: str = "job",
+) -> None:
+    """Run ``function(*args, attempt)`` for every job on a supervised process pool.
+
+    ``function`` must be picklable (module-level); it receives a job's
+    arguments followed by the job's 0-based attempt number, so a worker
+    can key deterministic fault injection on it.  Each job resolves exactly
+    once through ``resolve(job, payload, None)`` with the worker's return
+    value passed through unchanged, or ``resolve(job, None, error)`` once it
+    exhausts ``policy.max_retries``.  The loop:
+
+    * submits up to ``workers`` jobs and harvests them as they finish;
+    * fails an attempt that exceeds ``policy.point_timeout`` with
+      :class:`PointTimeoutError`, killing and respawning the pool (a single
+      worker cannot be cancelled) and re-queueing the innocent in-flight
+      jobs without charging them an attempt;
+    * re-queues a failed attempt with the policy's deterministic backoff;
+    * survives a worker death (the pool breaks and fails every in-flight
+      future indistinguishably): it respawns the pool and re-runs the
+      in-flight jobs one at a time, so a job that crashes *alone* is the
+      proven culprit and is charged a :class:`WorkerCrashError`, while the
+      others are exonerated and full-width submission resumes.
+
+    ``label`` names a job in error messages (``"sweep point"``, ``"shard"``).
+    """
+    if not jobs:
+        return
+    context = _pool_context()
+    queue: deque[PoolJob] = deque(PoolJob(index, tuple(args)) for index, args in enumerate(jobs))
+    in_flight: dict[object, PoolJob] = {}
+    suspects: set[int] = set()  # job indices quarantined after a pool break
+
+    def new_pool() -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+
+    pool = new_pool()
+
+    def respawn() -> None:
+        nonlocal pool
+        _kill_pool(pool)
+        pool = new_pool()
+
+    def succeed(job: PoolJob, payload, now: float) -> None:
+        job.attempts += 1
+        job.elapsed += now - job.started_at
+        suspects.discard(job.index)
+        resolve(job, payload, None)
+
+    def charge_failure(job: PoolJob, error: Exception, now: float) -> None:
+        """Count a failed attempt; re-queue with backoff or resolve terminally."""
+        job.attempts += 1
+        job.elapsed += now - job.started_at
+        if job.attempts <= policy.max_retries:
+            job.eligible_at = time.monotonic() + policy.backoff(job.attempts)
+            queue.append(job)
+        else:
+            suspects.discard(job.index)
+            resolve(job, None, error)
+
+    try:
+        while queue or in_flight:
+            now = time.monotonic()
+
+            # Submit eligible jobs up to capacity.  While any suspect from a
+            # pool break is unresolved, submission narrows to one job at a
+            # time so the next crash unambiguously identifies its culprit.
+            capacity = 1 if suspects else workers
+            deferred: deque[PoolJob] = deque()
+            while queue and len(in_flight) < capacity:
+                job = queue.popleft()
+                if job.eligible_at > now:
+                    deferred.append(job)
+                    continue
+                job.started_at = time.monotonic()
+                try:
+                    future = pool.submit(function, *job.args, job.attempts)
+                except (BrokenProcessPool, RuntimeError):
+                    # The pool broke between events; respawn and retry the
+                    # submission on the next pass (nothing is charged).
+                    queue.appendleft(job)
+                    respawn()
+                    break
+                in_flight[future] = job
+            while deferred:
+                queue.appendleft(deferred.pop())
+
+            if not in_flight:
+                if queue:
+                    # Everything eligible later: sleep until the first backoff
+                    # deadline (bounded so new eligibility is re-checked).
+                    wake = min(job.eligible_at for job in queue)
+                    time.sleep(min(max(wake - time.monotonic(), 0.0), 0.05) or 0.001)
+                continue
+
+            # Wait for completions, bounded by the earliest job deadline and
+            # the earliest backoff eligibility.
+            timeout = None
+            if policy.point_timeout is not None:
+                deadline = min(job.started_at + policy.point_timeout for job in in_flight.values())
+                timeout = max(deadline - time.monotonic(), 0.0)
+            if queue:
+                wake = max(min(job.eligible_at for job in queue) - time.monotonic(), 0.01)
+                timeout = wake if timeout is None else min(timeout, wake)
+            done, _ = wait(set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
+
+            broken = False
+            crashed: list[PoolJob] = []
+            now = time.monotonic()
+            for future in done:
+                job = in_flight.pop(future)
+                try:
+                    payload = future.result()
+                except BrokenProcessPool:
+                    broken = True
+                    crashed.append(job)
+                except Exception as error:  # noqa: BLE001 - job/injected failure
+                    charge_failure(job, error, now)
+                else:
+                    succeed(job, payload, now)
+
+            if broken:
+                # Every future the break touched failed indistinguishably; the
+                # still-pending ones will surface as BrokenProcessPool on the
+                # next wait, so fold them in now for one coherent decision.
+                # Results that completed before the break are salvaged.
+                for future, job in list(in_flight.items()):
+                    if future.done() and future.exception() is None:
+                        succeed(job, future.result(), now)
+                    else:
+                        crashed.append(job)
+                    del in_flight[future]
+                if len(crashed) == 1:
+                    # A lone in-flight job is the proven culprit.
+                    charge_failure(
+                        crashed[0],
+                        WorkerCrashError(
+                            f"worker process died while executing {label} "
+                            f"{crashed[0].index} (attempt {crashed[0].attempts + 1})"
+                        ),
+                        now,
+                    )
+                else:
+                    # Ambiguous: quarantine all of them, charge nobody, and
+                    # re-run one at a time until the culprit crashes alone.
+                    for job in crashed:
+                        job.elapsed += now - job.started_at
+                        job.eligible_at = now
+                        suspects.add(job.index)
+                        queue.append(job)
+                respawn()
+                continue
+
+            # Enforce per-job deadlines: fail the expired jobs, salvage any
+            # already-completed results, re-queue the innocent rest uncharged,
+            # and kill the pool (a hung worker ignores everything short of
+            # SIGKILL).
+            if policy.point_timeout is not None and in_flight:
+                now = time.monotonic()
+                expired = [
+                    future
+                    for future, job in in_flight.items()
+                    if now - job.started_at >= policy.point_timeout and not future.done()
+                ]
+                if expired:
+                    for future in expired:
+                        job = in_flight.pop(future)
+                        charge_failure(
+                            job,
+                            PointTimeoutError(
+                                f"{label} {job.index} exceeded the per-point "
+                                f"timeout of {policy.point_timeout:g}s "
+                                f"(attempt {job.attempts + 1})"
+                            ),
+                            now,
+                        )
+                    for future, job in list(in_flight.items()):
+                        if future.done() and future.exception() is None:
+                            # Completed between the wait and the kill: harvest
+                            # instead of wastefully re-running.
+                            succeed(job, future.result(), now)
+                        else:
+                            job.elapsed += now - job.started_at
+                            job.eligible_at = now
+                            queue.append(job)
+                    in_flight.clear()
+                    respawn()
+    finally:
+        # Idle workers on the success path; possibly hung ones on error
+        # paths -- SIGKILL either way so shutdown can never block.
+        _kill_pool(pool)

@@ -22,7 +22,6 @@ from repro.stabilizer.fused import (
     FusedPackedBatchTableau,
     execute_fused,
     kernel_tier,
-    native_kernel_available,
 )
 from repro.stabilizer.noise import (
     NoiseModel,
@@ -42,7 +41,6 @@ __all__ = [
     "FusedPackedBatchTableau",
     "execute_fused",
     "kernel_tier",
-    "native_kernel_available",
     "MeasurementResult",
     "lane_mask_words",
     "num_words",

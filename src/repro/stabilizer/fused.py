@@ -92,7 +92,6 @@ __all__ = [
     "fused_kernel_python",
     "fused_kernel_numpy",
     "kernel_tier",
-    "native_kernel_available",
     "execute_fused",
 ]
 
@@ -794,18 +793,6 @@ def kernel_tier() -> str:
     if not fault_gated:
         _TIER_CACHE[requested] = tier
     return tier
-
-
-def native_kernel_available() -> bool:
-    """Whether the compiled-C kernel tier is in effect.
-
-    Informational only: both tiers produce identical results, and the
-    engine runs on whichever one :func:`kernel_tier` picks.
-    """
-    try:
-        return kernel_tier() == "cext"
-    except SimulationError:
-        return False
 
 
 def _run_kernel(tier: str, *args) -> int:

@@ -8,18 +8,15 @@ Contracts exercised here:
   runs third-party strategies when they are named,
 * ``run(ExperimentSpec.from_json(result.spec_json))`` replays a sharded
   threshold sweep bit for bit on any worker count,
-* the deprecated kwargs entry points forward to the same implementation
-  (old path == new path, bit for bit at a fixed seed) and warn,
-* ``run_threshold_sweep_sharded`` rejects unknown keywords with TypeError,
+* counts (shots, seeds, batch sizes, shard and worker counts) are JSON
+  integers: floats and bools are rejected at construction,
 * ``from repro import *`` exposes exactly the curated ``__all__`` surface.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
-import numpy as np
 import pytest
 
 import repro
@@ -90,6 +87,27 @@ class TestSpecValidation:
             ExecutionSpec(num_shards=0)
         with pytest.raises(ParameterError):
             ExecutionSpec(backend="")
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("sampling", "shots", 64.5),
+            ("sampling", "shots", True),
+            ("sampling", "seed", True),
+            ("sampling", "seed", 7.0),
+            ("sampling", "seed", [1, False]),
+            ("sampling", "batch_size", 32.5),
+            ("sampling", "max_failures", 3.0),
+            ("execution", "num_shards", 2.5),
+            ("execution", "num_shards", True),
+            ("execution", "num_workers", 1.5),
+        ],
+    )
+    def test_counts_must_be_non_bool_ints(self, section, field, value):
+        data = sweep_spec().to_dict()
+        data[section][field] = value
+        with pytest.raises(ParameterError, match=field.replace("_", ".")):
+            ExperimentSpec.from_json(json.dumps(data))
 
     def test_experiment_kind_validated(self):
         with pytest.raises(ParameterError):
@@ -407,73 +425,6 @@ class TestRunResultJson:
         data["hostname"] = "somewhere"
         with pytest.raises(ParameterError):
             RunResult.from_dict(data)
-
-
-class TestDeprecationShims:
-    RATES = (2.0e-3, 1.0e-2)
-
-    def test_run_threshold_sweep_warns(self):
-        from repro.arq.experiments import run_threshold_sweep
-
-        with pytest.warns(DeprecationWarning):
-            run_threshold_sweep(self.RATES, trials=64, seed=1, batch_size=64)
-
-    def test_syndrome_rate_estimate_warns(self):
-        from repro.arq.experiments import syndrome_rate_estimate
-
-        with pytest.warns(DeprecationWarning):
-            syndrome_rate_estimate(1)
-
-    def test_run_threshold_sweep_sharded_warns(self):
-        from repro.parallel import run_threshold_sweep_sharded
-
-        with pytest.warns(DeprecationWarning):
-            run_threshold_sweep_sharded(self.RATES, 64, seed=1, num_workers=1, batch_size=64)
-
-    def test_old_kwargs_path_equals_new_spec_path_bit_for_bit(self):
-        from repro.arq.experiments import run_threshold_sweep
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = run_threshold_sweep(
-                self.RATES,
-                trials=512,
-                seed=np.random.SeedSequence(77),
-                num_shards=4,
-                num_workers=0,
-                batch_size=128,
-            )
-        new = run(sweep_spec())
-        assert old == new.value
-
-    def test_sharded_wrapper_equals_spec_path_bit_for_bit(self):
-        from repro.parallel import run_threshold_sweep_sharded
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = run_threshold_sweep_sharded(
-                self.RATES, 512, seed=77, num_shards=4, num_workers=2, batch_size=128
-            )
-        new = run(sweep_spec())
-        assert old == new.value
-
-    def test_sharded_wrapper_rejects_unknown_kwargs(self):
-        from repro.parallel import run_threshold_sweep_sharded
-
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                run_threshold_sweep_sharded(self.RATES, 64, seed=1, trails=10)
-
-    def test_syndrome_shim_matches_spec_keys(self):
-        from repro.arq.experiments import syndrome_rate_estimate
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = syndrome_rate_estimate(
-                1, monte_carlo_trials=64, rng=np.random.default_rng(0)
-            )
-        assert set(legacy) == {"analytic", "level", "measured", "trials"}
 
 
 class TestCuratedSurface:

@@ -115,6 +115,9 @@ class TestClaimStore:
         record = a.acquire("ab" * 32)
         assert record is not None and record.generation == 0
         assert b.acquire("ab" * 32) is None
+        # Claims are published whole from a private temporary file, which
+        # never outlives the attempt.
+        assert [path.name for path in tmp_path.iterdir()] == ["ab" * 32 + ".claim"]
 
     def test_release_then_reacquire(self, tmp_path):
         a = ClaimStore(tmp_path, worker="a")
@@ -178,6 +181,14 @@ class TestClaimStore:
         store.acquire(key)
         time.sleep(0.08)
         assert store.cleanup_stale(key) is True
+        assert store.read(key) is None
+
+    def test_cleanup_removes_fresh_claims_of_exited_workers(self, tmp_path):
+        store = ClaimStore(tmp_path, worker="host:41:token", lease_seconds=5.0)
+        key = "9a" * 32
+        store.acquire(key)
+        assert store.cleanup_stale(key, exited_workers=("host:4:", "other:41:")) is False
+        assert store.cleanup_stale(key, exited_workers=("host:41:",)) is True
         assert store.read(key) is None
 
     def test_reap_verifies_it_renamed_the_stale_claim(self, tmp_path, monkeypatch):

@@ -183,7 +183,6 @@ class TestKernelTierGate:
 
         with faults.fault_profile(FaultProfile(seed=0, kernel=1.0)):
             assert fused.kernel_tier() == "numpy"
-            assert not fused.native_kernel_available()
 
     def test_kernel_fault_fails_explicit_native_requests(self, monkeypatch):
         from repro.exceptions import SimulationError

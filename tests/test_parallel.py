@@ -2,16 +2,21 @@
 
 The contract of :mod:`repro.parallel`: for a fixed ``(seed, num_shards)`` the
 shard plan is pure -- the same outcomes are produced no matter how many worker
-processes execute it -- and the early-stop aggregation replays sequential
-semantics exactly over the concatenated shard streams.
+processes execute it, and a shard whose worker dies is re-run from its pinned
+seed -- and the early-stop aggregation replays sequential semantics exactly
+over the concatenated shard streams.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from repro.arq.experiments import run_threshold_sweep
+from repro.api import ExecutionSpec, ExperimentSpec, NoiseSpec, SamplingSpec, run
 from repro.exceptions import ParameterError
 from repro.parallel import (
     Level1ShardTask,
@@ -20,7 +25,6 @@ from repro.parallel import (
     as_seed_sequence,
     estimate_failure_rate_sharded,
     run_sharded_outcomes,
-    run_threshold_sweep_sharded,
     shard_sizes,
     spawn_shard_seeds,
 )
@@ -30,6 +34,29 @@ from repro.stabilizer import estimate_failure_rate_batched, pack_bits
 def _coin_task(rng: np.random.Generator, count: int) -> np.ndarray:
     """Cheap picklable batch trial: iid failures at rate 0.25."""
     return rng.random(count) < 0.25
+
+
+@dataclass(frozen=True)
+class _KillOnceTask:
+    """``_coin_task`` whose first call in a pool worker SIGKILLs that worker.
+
+    The marker file makes the kill happen once across every process; the
+    parent pid guard keeps an in-process run from killing the test itself.
+    """
+
+    marker: str
+    parent_pid: int
+
+    def __call__(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        if os.getpid() != self.parent_pid:
+            try:
+                with open(self.marker, "x"):
+                    pass
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return _coin_task(rng, count)
 
 
 class TestShardPlan:
@@ -152,68 +179,60 @@ class TestShardedEstimate:
         assert all(shard.failures <= 5 for shard in shards)
 
 
+class TestKilledShard:
+    def test_killed_shard_worker_is_respawned_and_retried(self, tmp_path):
+        task = _KillOnceTask(marker=str(tmp_path / "killed"), parent_pid=os.getpid())
+        kwargs = dict(num_shards=4, batch_size=100)
+        pooled = estimate_failure_rate_sharded(
+            task, 2000, np.random.SeedSequence(21), num_workers=2, **kwargs
+        )
+        assert (tmp_path / "killed").exists()  # a worker really died
+        serial = estimate_failure_rate_sharded(
+            _coin_task, 2000, np.random.SeedSequence(21), num_workers=0, **kwargs
+        )
+        assert (pooled.failures, pooled.trials) == (serial.failures, serial.trials)
+
+
+def _failing_task(rng: np.random.Generator, count: int) -> np.ndarray:
+    raise ValueError("shard task failed")
+
+
+class TestShardErrors:
+    def test_pooled_shard_raises_its_original_exception(self):
+        with pytest.raises(ValueError, match="shard task failed"):
+            estimate_failure_rate_sharded(
+                _failing_task, 200, np.random.SeedSequence(3), num_shards=2, num_workers=2
+            )
+
+
+def threshold_sweep_spec(seed, shots, num_shards, num_workers=0, batch_size=128):
+    return ExperimentSpec(
+        experiment="threshold_sweep",
+        noise=NoiseSpec(kind="uniform", physical_rates=TestSeededThresholdSweep.RATES),
+        sampling=SamplingSpec(shots=shots, seed=seed, batch_size=batch_size),
+        execution=ExecutionSpec(num_shards=num_shards, num_workers=num_workers),
+    )
+
+
 class TestSeededThresholdSweep:
     RATES = (2.0e-3, 1.0e-2)
 
     def test_serial_and_pooled_sweeps_bit_for_bit(self):
-        kwargs = dict(trials=400, num_shards=4, batch_size=128)
-        serial = run_threshold_sweep(self.RATES, seed=77, num_workers=0, **kwargs)
-        pooled = run_threshold_sweep(self.RATES, seed=77, num_workers=2, **kwargs)
+        serial = run(threshold_sweep_spec(77, 400, num_shards=4, num_workers=0)).value
+        pooled = run(threshold_sweep_spec(77, 400, num_shards=4, num_workers=2)).value
         assert serial.level1 == pooled.level1
         assert serial.level1_rates == pooled.level1_rates
         assert serial.level2_rates == pooled.level2_rates
         assert serial.concatenation_coefficient == pooled.concatenation_coefficient
 
     def test_entropy_recorded_and_reproducible(self):
-        result = run_threshold_sweep(
-            self.RATES, trials=300, seed=np.random.SeedSequence(2027), num_shards=2
-        )
+        result = run(threshold_sweep_spec(2027, 300, num_shards=2)).value
         assert result.seed_entropy == 2027
         assert result.num_shards == 2
-        replay = run_threshold_sweep(
-            self.RATES,
-            trials=300,
-            seed=np.random.SeedSequence(result.seed_entropy),
-            num_shards=result.num_shards,
-        )
+        replay = run(
+            threshold_sweep_spec(result.seed_entropy, 300, num_shards=result.num_shards)
+        ).value
         assert replay.level1 == result.level1
-
-    def test_wrapper_default_shards_machine_independent(self):
-        from repro.parallel import DEFAULT_NUM_SHARDS
-
-        result = run_threshold_sweep_sharded(
-            self.RATES, 64, seed=11, num_workers=1, batch_size=64
-        )
-        # The default shard plan must be a fixed constant, never cpu_count():
-        # the plan decides the random streams, so identical calls on different
-        # machines must produce identical numbers.
-        assert result.num_shards == DEFAULT_NUM_SHARDS
-
-    def test_wrapper_forwards_to_seeded_sweep(self):
-        direct = run_threshold_sweep(
-            self.RATES, trials=300, seed=5, num_shards=3, num_workers=0, batch_size=128
-        )
-        wrapped = run_threshold_sweep_sharded(
-            self.RATES, 300, seed=5, num_shards=3, num_workers=2, batch_size=128
-        )
-        assert wrapped.level1 == direct.level1
-
-    def test_legacy_rng_sweeps_record_no_entropy(self):
-        result = run_threshold_sweep(
-            self.RATES, trials=128, rng=np.random.default_rng(0), batch_size=128
-        )
-        assert result.seed_entropy is None
-        assert result.num_shards == 1
-
-    def test_seed_and_rng_are_mutually_exclusive(self):
-        with pytest.raises(ParameterError):
-            run_threshold_sweep(
-                self.RATES, trials=10, rng=np.random.default_rng(0), seed=1
-            )
-
-    def test_seeded_sweep_requires_batched_engine(self):
-        with pytest.raises(ParameterError):
-            run_threshold_sweep(self.RATES, trials=10, seed=1, use_batched=False)
 
 
 class TestLevel1ShardTask:

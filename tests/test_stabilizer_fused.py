@@ -40,7 +40,6 @@ from repro.stabilizer import (
     OperationNoise,
     PackedBatchTableau,
     kernel_tier,
-    native_kernel_available,
 )
 from repro.stabilizer import fused as fused_module
 from repro.stabilizer.fused import (
@@ -102,14 +101,15 @@ class TestKernelTiers:
     def test_active_tier_is_valid(self):
         assert kernel_tier() in KERNEL_TIERS
 
-    def test_native_probe_matches_tier(self):
-        assert native_kernel_available() == (kernel_tier() == "cext")
+    def test_auto_tier_is_cext_exactly_when_the_kernel_builds(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FUSED_KERNEL", "auto")
+        monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
+        assert (kernel_tier() == "cext") == (fused_module._cext_kernel() is not None)
 
     def test_numpy_tier_forcible(self, monkeypatch):
         monkeypatch.setenv("REPRO_FUSED_KERNEL", "numpy")
         monkeypatch.setattr(fused_module, "_TIER_CACHE", {})
         assert kernel_tier() == "numpy"
-        assert not native_kernel_available()
 
     def test_unknown_tier_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_FUSED_KERNEL", "fortran")
