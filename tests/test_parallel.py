@@ -205,18 +205,16 @@ class TestShardErrors:
             )
 
 
-def threshold_sweep_spec(seed, shots, num_shards, num_workers=0, batch_size=128):
+def threshold_sweep_spec(seed, shots, num_shards, num_workers=0):
     return ExperimentSpec(
         experiment="threshold_sweep",
-        noise=NoiseSpec(kind="uniform", physical_rates=TestSeededThresholdSweep.RATES),
-        sampling=SamplingSpec(shots=shots, seed=seed, batch_size=batch_size),
+        noise=NoiseSpec(kind="uniform", physical_rates=(2.0e-3, 1.0e-2)),
+        sampling=SamplingSpec(shots=shots, seed=seed, batch_size=128),
         execution=ExecutionSpec(num_shards=num_shards, num_workers=num_workers),
     )
 
 
 class TestSeededThresholdSweep:
-    RATES = (2.0e-3, 1.0e-2)
-
     def test_serial_and_pooled_sweeps_bit_for_bit(self):
         serial = run(threshold_sweep_spec(77, 400, num_shards=4, num_workers=0)).value
         pooled = run(threshold_sweep_spec(77, 400, num_shards=4, num_workers=2)).value
