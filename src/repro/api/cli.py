@@ -7,7 +7,7 @@ Usage::
     repro-run sweep.json --resume       # re-run an interrupted sweep (cache
                                         # restores every finished point)
     repro-run sweep.json --point-timeout 60 --max-retries 3
-    repro-run sweep.json --distributed 4    # 4 local workers, one shared cache
+    repro-run sweep.json --distributed 4    # run points on 4 pool workers
     repro-run sweep.json --coordinate       # join a multi-host claim party
     repro-run sweep.json --stream           # NDJSON per point as it lands
     repro-run --example threshold_sweep # print a starter spec and exit
@@ -29,13 +29,15 @@ identical to an uninterrupted run.  ``--point-timeout`` bounds each point's
 wall clock (pooled sweeps only), ``--max-retries`` bounds the retry budget,
 and ``--on-error raise`` upgrades any terminal point failure to a hard error.
 
-Sweeps also *distribute* (see ``docs/sweeps.md``): ``--distributed N`` forks
-N worker processes that split the grid through atomic claim files in the
-shared result cache, and ``--coordinate`` joins the calling process itself
-to such a claim party -- run the same command on N hosts sharing
-``REPRO_CACHE_DIR`` and the fleet executes every point exactly once, each
-invocation printing the complete, bit-for-bit identical result.
-``--lease-seconds`` tunes how quickly a crashed worker's claims are reaped.
+Sweeps also *distribute* (see ``docs/sweeps.md``): ``--distributed N`` runs
+the sweep's points on N supervised pool workers (it sets the sweep's
+``point_workers``), and ``--coordinate`` joins the calling process to a
+claim party through atomic claim files in the shared result cache -- run
+the same command on N hosts sharing ``REPRO_CACHE_DIR`` and the fleet
+executes every point exactly once, each invocation printing the complete,
+bit-for-bit identical result.  The two combine: each host then fans its
+claimed points out over its own pool.  ``--lease-seconds`` tunes how
+quickly a crashed host's claims are reaped.
 ``--stream`` prints one NDJSON progress line per point to stdout the moment
 it resolves (the final result JSON then goes only to ``--output``).
 
@@ -59,6 +61,7 @@ from what the library actually accepts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -243,8 +246,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="SECONDS",
         help=(
-            "for pooled sweeps (point_workers > 1): kill and retry any point "
-            "that exceeds this wall-clock budget"
+            "for pooled sweeps (point_workers > 1, or --distributed N): kill "
+            "and retry any point that exceeds this wall-clock budget"
         ),
     )
     parser.add_argument(
@@ -270,9 +273,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="N",
         help=(
-            "for sweeps: fork N worker processes that split the grid through "
-            "claim files in the shared result cache, then merge (bit-for-bit "
-            "identical to a serial run)"
+            "for sweeps: run the points on N supervised pool workers (sets "
+            "the sweep's point_workers; bit-for-bit identical to a serial run)"
         ),
     )
     parser.add_argument(
@@ -290,9 +292,9 @@ def main(argv: list[str] | None = None) -> int:
         default=30.0,
         metavar="SECONDS",
         help=(
-            "for --distributed/--coordinate sweeps: claim lease length; a "
-            "worker silent this long is presumed dead and its points are "
-            "reaped (default: 30)"
+            "for --coordinate sweeps: claim lease length; a party member "
+            "silent this long is presumed dead and its points are reaped "
+            "(default: 30)"
         ),
     )
     parser.add_argument(
@@ -315,29 +317,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.resume and args.no_cache:
         print("repro-run: --resume needs the cache; drop --no-cache", file=sys.stderr)
         return 2
-    if args.no_cache and (args.distributed is not None or args.coordinate):
+    if args.no_cache and args.coordinate:
         print(
-            "repro-run: --distributed/--coordinate coordinate through claim "
-            "files next to the cache entries; drop --no-cache",
-            file=sys.stderr,
-        )
-        return 2
-    if args.distributed is not None and args.coordinate:
-        print(
-            "repro-run: pick one of --distributed (fork local workers) or "
-            "--coordinate (join an existing party)",
+            "repro-run: --coordinate coordinates through claim files next to "
+            "the cache entries; drop --no-cache",
             file=sys.stderr,
         )
         return 2
     if args.distributed is not None and args.distributed < 1:
         print("repro-run: --distributed needs at least one worker", file=sys.stderr)
-        return 2
-    if args.distributed is not None and args.point_timeout is not None:
-        print(
-            "repro-run: --point-timeout does not apply to --distributed sweeps "
-            "(workers execute their claimed points in-process)",
-            file=sys.stderr,
-        )
         return 2
 
     path = Path(args.spec)
@@ -357,42 +345,24 @@ def main(argv: list[str] | None = None) -> int:
                         file=sys.stderr,
                     )
                     return 4
-            progress = None
+            stream = None
             if args.stream:
 
-                def progress(event: dict) -> None:
-                    _emit(json.dumps(event, sort_keys=True))
+                def stream(event) -> None:
+                    _emit(json.dumps(event.to_record(), sort_keys=True))
 
             if args.distributed is not None:
-                from repro.explore.distributed import run_sweep_distributed
-
-                dist = run_sweep_distributed(
-                    spec,
-                    num_workers=args.distributed,
-                    lease_seconds=args.lease_seconds,
-                    max_retries=args.max_retries,
-                    on_error=args.on_error,
-                    progress=progress,
-                )
-                result = dist.result
-                print(
-                    f"repro-run: {dist.surviving_workers} of "
-                    f"{len(dist.workers)} workers finished; they executed "
-                    f"{dist.executed_by_workers} points, merge replayed "
-                    f"{result.cache_hits} from the cache",
-                    file=sys.stderr,
-                )
-            else:
-                result = run_sweep(
-                    spec,
-                    use_cache=not args.no_cache,
-                    point_timeout=args.point_timeout,
-                    max_retries=args.max_retries,
-                    on_error=args.on_error,
-                    progress=progress,
-                    coordinate=args.coordinate,
-                    claim_lease_seconds=args.lease_seconds,
-                )
+                spec = dataclasses.replace(spec, point_workers=args.distributed)
+            result = run_sweep(
+                spec,
+                use_cache=not args.no_cache,
+                point_timeout=args.point_timeout,
+                max_retries=args.max_retries,
+                on_error=args.on_error,
+                stream=stream,
+                coordinate=args.coordinate,
+                claim_lease_seconds=args.lease_seconds,
+            )
             if args.resume:
                 print(
                     f"repro-run: resumed {result.cache_hits} of {len(result)} "

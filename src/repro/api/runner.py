@@ -193,6 +193,8 @@ def run(
     to :func:`repro.explore.runner.run_sweep` (returning its
     :class:`~repro.explore.runner.SweepResult`), so ``run`` stays the single
     entry point for every declarative description the library understands.
+    Sweeps always execute against the process-wide registry: passing a
+    ``registry`` with a sweep raises :class:`~repro.exceptions.ParameterError`.
     """
     # Imported lazily: repro.explore builds on this module, so the sweep
     # dispatch must not create an import cycle.
@@ -200,7 +202,12 @@ def run(
     from repro.explore.sweep import SweepSpec
 
     if isinstance(spec, SweepSpec):
-        return run_sweep(spec, registry=registry)
+        if registry is not None:
+            raise ParameterError(
+                "sweeps execute against the process-wide backend registry; "
+                "run a sweep without registry="
+            )
+        return run_sweep(spec)
     if not isinstance(spec, ExperimentSpec):
         raise ParameterError(f"run() takes an ExperimentSpec, got {type(spec).__name__}")
     the_registry = registry if registry is not None else default_registry()

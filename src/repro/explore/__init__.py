@@ -18,10 +18,10 @@ Shor-kernel runtime.  This package turns the single-point experiment API
 * :mod:`repro.explore.supervisor` -- the fault-tolerant execution layer
   under :func:`run_sweep`: per-point timeouts, bounded retry with backoff,
   and dead-pool recovery (see ``docs/robustness.md``),
-* :mod:`repro.explore.distributed` -- N worker processes (or hosts on a
-  shared filesystem) coordinating one sweep purely through atomic claim
-  files next to the cache entries: heartbeat leases, stale-claim reaping,
-  and a merged result bit-for-bit equal to a serial run (see
+* :mod:`repro.explore.distributed` -- N hosts (or processes) on a shared
+  filesystem coordinating one sweep purely through atomic claim files
+  next to the cache entries: heartbeat leases, stale-claim reaping, and
+  per-member results bit-for-bit equal to a serial run (see
   ``docs/sweeps.md``),
 * :mod:`repro.explore.refine` -- adaptive refinement: recursive grid zoom
   around a metric/target crossing plus variance-guided shot allocation,
@@ -76,14 +76,7 @@ from repro.explore.cache import (
     cache_key,
     default_cache_dir,
 )
-from repro.explore.distributed import (
-    ClaimRecord,
-    ClaimStore,
-    DistributedRun,
-    DistributedSweepError,
-    WorkerReport,
-    run_sweep_distributed,
-)
+from repro.explore.distributed import ClaimRecord, ClaimStore
 from repro.explore.refine import (
     RefinementResult,
     RefinementRound,
@@ -137,10 +130,6 @@ __all__ = [
     "stream_sweep",
     "ClaimRecord",
     "ClaimStore",
-    "DistributedRun",
-    "DistributedSweepError",
-    "WorkerReport",
-    "run_sweep_distributed",
     "RefinementResult",
     "RefinementRound",
     "binomial_stderr",

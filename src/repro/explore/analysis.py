@@ -260,7 +260,6 @@ def reproduce_fig9(
     bandwidths: Sequence[int] = (1, 2, 4),
     *,
     seed: int = 2005,
-    registry=None,
     cache=None,
     use_cache: bool = True,
 ) -> list[dict]:
@@ -297,7 +296,7 @@ def reproduce_fig9(
         axes=(SweepAxis(path="machine.bandwidth", values=tuple(bandwidths)),),
         seed=seed,
     )
-    result = run_sweep(sweep, registry=registry, cache=cache, use_cache=use_cache)
+    result = run_sweep(sweep, cache=cache, use_cache=use_cache)
     rows = tidy_rows(result)
     rows.sort(key=lambda row: row["machine.bandwidth"])
     return rows
@@ -310,7 +309,6 @@ def reproduce_fig9_noisy(
     bandwidth: int = 2,
     target_fidelity: float = 0.96,
     seed: int = 2005,
-    registry=None,
     cache=None,
     use_cache: bool = True,
 ) -> list[dict]:
@@ -362,7 +360,7 @@ def reproduce_fig9_noisy(
         ),
         seed=seed,
     )
-    result = run_sweep(sweep, registry=registry, cache=cache, use_cache=use_cache)
+    result = run_sweep(sweep, cache=cache, use_cache=use_cache)
     rows = tidy_rows(result)
     rows.sort(
         key=lambda row: (

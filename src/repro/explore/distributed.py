@@ -1,10 +1,10 @@
-"""Multi-worker design-space sweeps coordinated through the result cache.
+"""Multi-host design-space sweeps coordinated through the result cache.
 
 The content-addressed :class:`~repro.explore.cache.ResultCache` was built
 as a coordination layer: every grid point's cache key is a pure function
 of its fully-bound spec, per-point seeds derive from *coordinates* (not
 grid position), and entry writes are atomic.  This module cashes that in.
-N worker processes -- or N hosts sharing the cache directory over a
+N processes -- typically N hosts sharing the cache directory over a
 network filesystem -- cooperate on one sweep with **no queue, no broker
 and no network protocol**: the only shared state is atomic *claim files*
 next to the cache entries.
@@ -48,21 +48,20 @@ practical requirements are a shared filesystem with atomic ``link`` /
 ``rename`` (POSIX local disks, NFSv3+) and clocks that agree to within a
 fraction of the lease.
 
-Entry points
-============
+Entry point
+===========
 
-* :func:`repro.explore.runner.run_sweep` with ``coordinate=True`` joins a
-  sweep's claim party from the calling process -- this is what lets N
-  *hosts* each run ``repro-run sweep.json --coordinate`` against a shared
-  ``REPRO_CACHE_DIR`` and collectively execute every point exactly once.
-* :func:`run_sweep_distributed` forks ``num_workers`` local worker
-  processes over one shared cache, waits for them, and merges by running
-  a final coordinated pass (a pure cache replay when the workers covered
-  the grid, and the crash-resume path when some of them died): the merged
-  :class:`~repro.explore.runner.SweepResult` satisfies
-  ``merged.value_digest() == serial.value_digest()`` -- bit-for-bit equal
-  per-point specs, seeds, engines and values -- no matter how many
-  workers ran, crashed, or were reaped along the way.
+:func:`repro.explore.runner.run_sweep` with ``coordinate=True`` joins a
+sweep's claim party from the calling process -- this is what lets N
+*hosts* each run ``repro-run sweep.json --coordinate`` against a shared
+``REPRO_CACHE_DIR`` and collectively execute every point exactly once.
+Each member executes its claimed points on the same supervised pool as an
+uncoordinated sweep (``SweepSpec.point_workers`` wide), and each returns
+a :class:`~repro.explore.runner.SweepResult` with
+``value_digest() == serial.value_digest()`` -- bit-for-bit equal
+per-point specs, seeds, engines and values -- no matter how many members
+ran, crashed, or were reaped along the way.  A coordinated pass ends by
+garbage-collecting the lapsed claims of members that died after caching.
 """
 
 from __future__ import annotations
@@ -78,28 +77,17 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro import faults
-from repro.api.results import RunResult
 from repro.api.specs import ExperimentSpec
-from repro.exceptions import ParameterError, QLAError
+from repro.exceptions import ParameterError
 from repro.explore.cache import ResultCache
-from repro.explore.supervisor import (
-    PointOutcome,
-    RetryPolicy,
-    execute_supervised,
-    execute_with_retry,
-)
-from repro.parallel import _pool_context
+from repro.explore.supervisor import PointOutcome, RetryPolicy, execute_supervised
 
 __all__ = [
     "CLAIMS_SUBDIR",
     "DEFAULT_LEASE_SECONDS",
     "ClaimRecord",
     "ClaimStore",
-    "WorkerReport",
-    "DistributedSweepError",
-    "DistributedRun",
     "execute_coordinated",
-    "run_sweep_distributed",
 ]
 
 #: Subdirectory of the cache root holding claim files.
@@ -108,15 +96,12 @@ CLAIMS_SUBDIR = "claims"
 #: Default claim lease: a worker silent for this long is presumed dead.
 DEFAULT_LEASE_SECONDS = 30.0
 
-#: Environment flag marking a process as a distributed sweep worker.  The
-#: :data:`repro.faults.EXPLORE_CLAIM` site (SIGKILL after claiming) is only
-#: consulted when this flag is set, so a chaos profile can never kill the
-#: merging parent, a service thread, or a plain ``coordinate=True`` caller.
+#: Environment flag marking a process as a claim-party peer that a chaos
+#: profile may kill.  The :data:`repro.faults.EXPLORE_CLAIM` site (SIGKILL
+#: after claiming) is only consulted when this flag is ``"1"``, so a chaos
+#: profile can never kill a service thread or a plain ``coordinate=True``
+#: caller; the multi-process claim tests set it in their forked peers.
 WORKER_FLAG_ENV = "_REPRO_DISTRIBUTED_WORKER"
-
-
-class DistributedSweepError(QLAError):
-    """A distributed sweep could not complete (e.g. every worker failed)."""
 
 
 def _default_worker_identity() -> str:
@@ -401,15 +386,14 @@ class ClaimStore:
             return False
         return True
 
-    def cleanup_stale(self, key: str, exited_workers: tuple[str, ...] = ()) -> bool:
+    def cleanup_stale(self, key: str) -> bool:
         """Remove a stale claim left by a worker that died *after* caching.
 
         A worker killed between its cache write and its release leaves a
         claim file that no longer guards anything (the result exists).
         Any worker that resolves the point from the cache calls this to
-        garbage-collect the leftover; fresh claims are never touched,
-        unless their owner's identity starts with one of
-        ``exited_workers`` -- processes the caller knows have exited.
+        garbage-collect the leftover, and a coordinated pass ends by
+        calling it on every grid key; fresh claims are never touched.
         """
         current = self.read(key)
         if current is None:
@@ -419,7 +403,7 @@ class ClaimStore:
             path = self.path_for(key)
             if not path.exists():
                 return False
-        elif not (self.is_stale(current) or current.worker.startswith(exited_workers)):
+        elif not self.is_stale(current):
             return False
         tombstone = self.directory / f".{key[:16]}.reaped-{uuid.uuid4().hex}"
         try:
@@ -457,6 +441,13 @@ class _HeartbeatKeeper:
         with self._lock:
             return self._held.pop(key, None)
 
+    def drain(self) -> list[ClaimRecord]:
+        """Stop tracking every held claim and return them (for release)."""
+        with self._lock:
+            records = list(self._held.values())
+            self._held.clear()
+        return records
+
     def __enter__(self) -> "_HeartbeatKeeper":
         self._thread = threading.Thread(
             target=self._loop, name="repro-claim-heartbeat", daemon=True
@@ -492,7 +483,7 @@ def _in_worker_process() -> bool:
 
 
 def _maybe_die(site_key: str, generation: int) -> None:
-    """Consult the ``explore.claim`` kill site (distributed workers only)."""
+    """Consult the ``explore.claim`` kill site (flagged claim-party peers only)."""
     if _in_worker_process():
         faults.maybe_inject(faults.EXPLORE_CLAIM, site_key, generation)
 
@@ -504,10 +495,8 @@ def execute_coordinated(
     cache: ResultCache,
     policy: RetryPolicy,
     point_workers: int = 0,
-    registry=None,
     lease_seconds: float = DEFAULT_LEASE_SECONDS,
     poll_interval: float = 0.05,
-    worker: str | None = None,
     on_executed=None,
     on_cached=None,
 ) -> None:
@@ -524,18 +513,23 @@ def execute_coordinated(
 
     The loop interleaves claiming and waiting: each pass tries to claim a
     chunk of unresolved points (up to the pool width), executes what it
-    won, then re-scans -- points held by live workers resolve from the
-    cache, points whose owner's lease lapsed are reaped and re-executed
-    here.  Termination needs no global barrier: every unresolved point is
-    either being executed by a live worker (its entry will appear) or has
-    a reapable claim (we will execute it ourselves).
+    won through :func:`~repro.explore.supervisor.execute_supervised` --
+    the supervised pool when ``point_workers > 1``, in-process otherwise,
+    exactly as an uncoordinated sweep -- then re-scans: points held by
+    live workers resolve from the cache, points whose owner's lease lapsed
+    are reaped and re-executed here.  Termination needs no global barrier:
+    every unresolved point is either being executed by a live worker (its
+    entry will appear) or has a reapable claim (we will execute it
+    ourselves).  A callback that raises aborts the pass; every claim still
+    held is released on the way out, so peers never wait a lease on them.
     """
     if on_executed is None or on_cached is None:
         raise ParameterError("execute_coordinated needs on_executed and on_cached callbacks")
     if len(specs) != len(keys):
         raise ParameterError("specs and keys must be index-aligned")
-    claims = ClaimStore.for_cache(cache, worker=worker, lease_seconds=lease_seconds)
+    claims = ClaimStore.for_cache(cache, lease_seconds=lease_seconds)
     pending: list[int] = list(range(len(specs)))
+    held: dict[int, ClaimRecord] = {}  # claimed, not yet finished
     width = max(1, point_workers)
 
     def resolve_from_cache(position: int) -> bool:
@@ -551,306 +545,64 @@ def execute_coordinated(
         return True
 
     with _HeartbeatKeeper(claims) as keeper:
-        while pending:
-            batch: list[int] = []
-            held: dict[int, ClaimRecord] = {}
-            progressed = False
-            for position in list(pending):
-                if resolve_from_cache(position):
-                    pending.remove(position)
+        def finish(position: int, outcome: PointOutcome) -> None:
+            # The caller's callback caches the result; only then is the
+            # claim released, so a waiter can never acquire a released
+            # claim and find the entry missing.
+            on_executed(position, outcome)
+            # Fault site, second consult: the peer dies *after* the cache
+            # write but before releasing -- waiters must resolve from the
+            # cache and GC the leftover claim.
+            _maybe_die(f"{keys[position]}/release", held.pop(position).generation)
+            record = keeper.remove(keys[position])
+            if record is not None:
+                claims.release(record)
+            pending.remove(position)
+
+        try:
+            while pending:
+                batch: list[int] = []
+                progressed = False
+                for position in list(pending):
+                    if resolve_from_cache(position):
+                        pending.remove(position)
+                        progressed = True
+                        continue
+                    if len(batch) >= width:
+                        continue
+                    record = claims.acquire(keys[position])
+                    if record is None:
+                        continue
+                    if resolve_from_cache(position):
+                        # The entry landed between our cache check and our
+                        # acquire: the previous owner caches *before*
+                        # releasing, so a key whose claim we could win may
+                        # already be done.  Without this re-check we would
+                        # re-execute it.
+                        claims.release(record)
+                        pending.remove(position)
+                        progressed = True
+                        continue
+                    # Fault site: a claim-party peer dies right after
+                    # claiming, leaving a stale claim for the lease
+                    # machinery to reap.  Keyed on the cache key, gated on
+                    # generation.
+                    _maybe_die(keys[position], record.generation)
+                    keeper.add(record)
+                    held[position] = record
+                    batch.append(position)
+
+                if batch:
                     progressed = True
-                    continue
-                if len(batch) >= width:
-                    continue
-                record = claims.acquire(keys[position])
-                if record is None:
-                    continue
-                if resolve_from_cache(position):
-                    # The entry landed between our cache check and our
-                    # acquire: the previous owner caches *before* releasing,
-                    # so a key whose claim we could win may already be done.
-                    # Without this re-check we would re-execute it.
-                    claims.release(record)
-                    pending.remove(position)
-                    progressed = True
-                    continue
-                # Fault site: a distributed worker dies right after
-                # claiming, leaving a stale claim for the lease machinery
-                # to reap.  Keyed on the cache key, gated on generation.
-                _maybe_die(keys[position], record.generation)
-                keeper.add(record)
-                held[position] = record
-                batch.append(position)
-
-            if batch:
-                progressed = True
-                if width > 1 and len(batch) > 1 and registry is None:
-                    outcomes: dict[int, PointOutcome] = {}
-
-                    def harvest(sub: int, outcome: PointOutcome) -> None:
-                        outcomes[sub] = outcome
-
                     execute_supervised(
                         [specs[position] for position in batch],
                         policy=policy,
                         point_workers=width,
-                        registry=registry,
-                        on_outcome=harvest,
+                        on_outcome=lambda sub, outcome: finish(batch[sub], outcome),
                     )
-                    ordered = [(position, outcomes[sub]) for sub, position in enumerate(batch)]
-                else:
-                    ordered = [
-                        (position, execute_with_retry(specs[position], policy=policy, registry=registry))
-                        for position in batch
-                    ]
-                for position, outcome in ordered:
-                    # The caller's callback caches the result; only then is
-                    # the claim released, so a waiter can never acquire a
-                    # released claim and find the entry missing.
-                    on_executed(position, outcome)
-                    # Fault site, second consult: the worker dies *after*
-                    # the cache write but before releasing -- waiters must
-                    # resolve from the cache and GC the leftover claim.
-                    _maybe_die(f"{keys[position]}/release", held[position].generation)
-                    record = keeper.remove(keys[position])
-                    if record is not None:
-                        claims.release(record)
-                    pending.remove(position)
 
-            if pending and not progressed:
-                time.sleep(poll_interval)
-
-
-@dataclass(frozen=True)
-class WorkerReport:
-    """One distributed worker's accounting, read back from its report file.
-
-    ``executed`` counts the grid points this worker's engine ran;
-    ``resolved_cached`` counts points it resolved from entries written by
-    someone else (pre-existing or sibling workers); ``failed`` counts
-    points that exhausted their retries inside this worker.  A worker
-    that died (SIGKILL, chaos injection) leaves no report:
-    ``survived=False`` and zeroed counters.
-    """
-
-    worker_index: int
-    survived: bool
-    exit_code: int | None
-    executed: int = 0
-    resolved_cached: int = 0
-    failed: int = 0
-
-
-@dataclass(frozen=True)
-class DistributedRun:
-    """The outcome of :func:`run_sweep_distributed`.
-
-    Attributes
-    ----------
-    result:
-        The merged :class:`~repro.explore.runner.SweepResult` -- produced
-        by the parent's final coordinated pass, so it is a pure cache
-        replay when the workers covered the grid and the crash-resume
-        path otherwise.  Its :meth:`~repro.explore.runner.SweepResult.value_digest`
-        equals a serial run's.
-    workers:
-        Per-worker accounting (dead workers report ``survived=False``).
-    """
-
-    result: object
-    workers: tuple[WorkerReport, ...]
-
-    @property
-    def executed_by_workers(self) -> int:
-        """Engine executions summed over surviving workers' reports."""
-        return sum(report.executed for report in self.workers)
-
-    @property
-    def surviving_workers(self) -> int:
-        return sum(1 for report in self.workers if report.survived)
-
-
-def _worker_main(
-    sweep_json: str,
-    cache_dir: str,
-    worker_index: int,
-    report_path: str,
-    lease_seconds: float,
-    max_retries: int,
-    backoff_base: float,
-    poll_interval: float,
-) -> None:
-    """Entry point of one forked distributed worker process."""
-    # Mark the process so the explore.claim kill site arms itself (and
-    # propagates to any grandchildren this worker might fork).
-    os.environ[WORKER_FLAG_ENV] = "1"
-    from dataclasses import replace as dc_replace
-
-    from repro.explore.runner import run_sweep
-    from repro.explore.sweep import SweepSpec
-
-    sweep = SweepSpec.from_json(sweep_json)
-    # Each worker is its own parallelism unit: points execute in-process,
-    # and the claim party provides the fan-out.
-    if sweep.point_workers:
-        sweep = dc_replace(sweep, point_workers=0)
-    result = run_sweep(
-        sweep,
-        cache=ResultCache(cache_dir),
-        coordinate=True,
-        claim_lease_seconds=lease_seconds,
-        claim_poll_interval=poll_interval,
-        max_retries=max_retries,
-        backoff_base=backoff_base,
-        on_error="partial",
-    )
-    executed = sum(1 for point in result.points if not point.cached and point.ok)
-    report = {
-        "worker_index": worker_index,
-        "executed": executed,
-        "resolved_cached": result.cache_hits,
-        "failed": result.failed,
-    }
-    # Atomic single write: a worker killed mid-run leaves no report at all,
-    # never a torn one.
-    handle, temp_name = tempfile.mkstemp(
-        dir=os.path.dirname(report_path), prefix=".report-", suffix=".tmp"
-    )
-    with os.fdopen(handle, "w") as stream:
-        stream.write(json.dumps(report))
-    os.replace(temp_name, report_path)
-
-
-def run_sweep_distributed(
-    sweep,
-    *,
-    num_workers: int = 4,
-    cache: ResultCache | None = None,
-    registry=None,
-    lease_seconds: float = DEFAULT_LEASE_SECONDS,
-    max_retries: int = 2,
-    backoff_base: float = 0.05,
-    poll_interval: float = 0.05,
-    on_error: str = "partial",
-    progress=None,
-    stream=None,
-) -> DistributedRun:
-    """Execute a sweep with ``num_workers`` processes over one shared cache.
-
-    Workers are forked, coordinate purely through claim files in the
-    cache directory (see the module docstring for the protocol), and cache
-    every completed point immediately.  The parent then runs a final
-    coordinated pass over the same cache: with healthy workers that pass
-    is a pure replay (``merged.result.cache_misses == 0``); if workers
-    died it is the crash-resume path -- stale claims are reaped and the
-    uncovered tail executes in the parent -- so the merge *always*
-    completes the grid.  Claims left by workers killed between caching
-    and releasing are garbage-collected after the merge.
-
-    The merged result is bit-for-bit equal to a serial
-    :func:`~repro.explore.runner.run_sweep` of the same sweep --
-    ``value_digest()`` compares per-point specs, seeds, engines, values
-    and errors, excluding only wall-clock and cache-accounting fields
-    that legitimately differ between any two runs.
-
-    Parameters mirror :func:`~repro.explore.runner.run_sweep` where they
-    overlap; ``registry`` must be None (a custom registry cannot cross
-    the fork), and worker processes execute their claimed points
-    in-process (per-point parallelism comes from the worker count).
-    """
-    from repro.explore.runner import run_sweep
-    from repro.explore.sweep import SweepSpec
-
-    if not isinstance(sweep, SweepSpec):
-        raise ParameterError(
-            f"run_sweep_distributed() takes a SweepSpec, got {type(sweep).__name__}"
-        )
-    if registry is not None:
-        raise ParameterError(
-            "run_sweep_distributed cannot ship a custom registry to worker "
-            "processes; pass registry=None or use run_sweep(coordinate=True)"
-        )
-    if not isinstance(num_workers, int) or isinstance(num_workers, bool) or num_workers < 1:
-        raise ParameterError(f"num_workers must be a positive int, got {num_workers!r}")
-    the_cache = cache if cache is not None else ResultCache()
-    the_cache.directory.mkdir(parents=True, exist_ok=True)
-
-    context = _pool_context()
-    sweep_json = sweep.to_json()
-    reports_dir = Path(tempfile.mkdtemp(prefix="repro-dist-", dir=the_cache.directory))
-    processes = []
-    report_paths = []
-    for index in range(num_workers):
-        report_path = reports_dir / f"worker-{index}.json"
-        report_paths.append(report_path)
-        process = context.Process(
-            target=_worker_main,
-            args=(
-                sweep_json,
-                str(the_cache.directory),
-                index,
-                str(report_path),
-                lease_seconds,
-                max_retries,
-                backoff_base,
-                poll_interval,
-            ),
-            name=f"repro-dist-worker-{index}",
-        )
-        process.start()
-        processes.append(process)
-
-    reports = []
-    for index, process in enumerate(processes):
-        process.join()
-        report_path = report_paths[index]
-        if report_path.exists():
-            data = json.loads(report_path.read_text())
-            reports.append(
-                WorkerReport(
-                    worker_index=index,
-                    survived=True,
-                    exit_code=process.exitcode,
-                    executed=data["executed"],
-                    resolved_cached=data["resolved_cached"],
-                    failed=data["failed"],
-                )
-            )
-        else:
-            reports.append(
-                WorkerReport(worker_index=index, survived=False, exit_code=process.exitcode)
-            )
-    for report_path in report_paths:
-        try:
-            report_path.unlink()
-        except OSError:
-            pass
-    try:
-        reports_dir.rmdir()
-    except OSError:  # pragma: no cover - a straggler file: leave the dir
-        pass
-
-    # Merge = one coordinated pass by the parent: pure replay when the
-    # workers covered the grid, crash-resume (reap + execute the tail)
-    # when they did not.  The parent is not flagged as a worker, so the
-    # explore.claim kill site cannot fire here.
-    merged = run_sweep(
-        sweep,
-        cache=the_cache,
-        coordinate=True,
-        claim_lease_seconds=lease_seconds,
-        claim_poll_interval=poll_interval,
-        max_retries=max_retries,
-        backoff_base=backoff_base,
-        on_error=on_error,
-        progress=progress,
-        stream=stream,
-    )
-    # GC the claims left by workers killed after caching a point: stale
-    # ones, and fresh ones held by this run's workers, which have all
-    # exited (a victim's lease may not have lapsed yet).
-    exited = tuple(f"{socket.gethostname()}:{process.pid}:" for process in processes)
-    claims = ClaimStore.for_cache(the_cache, lease_seconds=lease_seconds)
-    for point in merged.points:
-        claims.cleanup_stale(point.cache_key, exited_workers=exited)
-    return DistributedRun(result=merged, workers=tuple(reports))
+                if pending and not progressed:
+                    time.sleep(poll_interval)
+        finally:
+            for record in keeper.drain():
+                claims.release(record)

@@ -41,7 +41,6 @@ import threading
 import warnings
 from dataclasses import dataclass, replace
 
-from repro.api.registry import BackendRegistry
 from repro.api.results import RunResult
 from repro.api.runner import resolved_engine
 from repro.api.specs import ExperimentSpec
@@ -278,10 +277,10 @@ class SweepResult:
         point was computed here or replayed from the cache does not change
         its value).
 
-        This is the equality a distributed run is held to:
-        ``run_sweep_distributed(...).result.value_digest() ==
-        run_sweep(...).value_digest()`` regardless of worker count, claim
-        interleaving, or crashed-and-reaped workers.
+        This is the equality a distributed run is held to: every member
+        of a ``coordinate=True`` claim party returns a result whose digest
+        equals a serial ``run_sweep``'s, regardless of pool width, party
+        size, claim interleaving, or crashed-and-reaped members.
         """
         payload = []
         for point in self.points:
@@ -385,14 +384,12 @@ class SweepResult:
 def run_sweep(
     sweep: SweepSpec,
     *,
-    registry: BackendRegistry | None = None,
     cache: ResultCache | None = None,
     use_cache: bool = True,
     point_timeout: float | None = None,
     max_retries: int = 2,
     backoff_base: float = 0.05,
     on_error: str = "partial",
-    progress=None,
     stream=None,
     coordinate: bool = False,
     claim_lease_seconds: float = 30.0,
@@ -405,10 +402,8 @@ def run_sweep(
     sweep:
         The sweep description; its grid, per-point seeds and cache keys are
         all pure functions of this object (plus the library version).
-    registry:
-        Backend registry for engine resolution and execution; defaults to
-        the process-wide registry.  A custom registry forces in-process
-        point execution (it cannot be shipped to worker processes).
+        Points resolve and execute against the process-wide backend
+        registry.
     cache:
         The result cache to consult and fill; defaults to a
         :class:`~repro.explore.cache.ResultCache` at the standard location
@@ -421,8 +416,8 @@ def run_sweep(
     point_timeout:
         Per-point wall-clock budget in seconds; a point that exceeds it is
         cancelled (its worker killed) and retried.  Requires pooled
-        execution (``sweep.point_workers > 1`` and no custom registry) --
-        an in-process point cannot be preempted.
+        execution (``sweep.point_workers > 1``) -- an in-process point
+        cannot be preempted.
     max_retries:
         Retries after each point's first attempt, with bounded
         exponential backoff (``backoff_base * 2**k``, capped at 5 s)
@@ -434,26 +429,20 @@ def run_sweep(
         as :class:`SweepPointError` entries inside a partial result;
         ``"raise"`` raises :class:`SweepExecutionError` instead -- after
         every surviving point has been executed and cached.
-    progress:
-        Optional callback invoked with one JSON-ready dictionary per grid
-        point the moment the point resolves: cache hits during the initial
-        scan, executed points streamed from the incremental harvest (the
-        experiment service's per-job event feed -- see
-        :mod:`repro.service`).  Keys: ``index``, ``total``,
-        ``coordinates``, ``cache_key``, ``cached``, ``ok``, ``attempts``,
-        ``wall_time_seconds``, ``error``.  An exception raised by the
-        callback aborts the sweep and propagates -- every point already
-        resolved has been cached, so an aborted sweep resumes from the
-        cache like a crashed one (this is the service's cancellation
-        hook).
     stream:
         Optional callback invoked with one :class:`SweepEvent` per grid
-        point the moment it resolves -- the in-process streaming hook
-        (``progress`` carries JSON-ready dictionaries for the service's
-        NDJSON feed; ``stream`` carries live objects).  Most callers want
-        :func:`stream_sweep`, which turns this hook into a consumer
-        iterator with running Pareto fronts.  Exceptions propagate like
-        ``progress`` exceptions.
+        point the moment the point resolves: cache hits during the initial
+        scan, executed points streamed from the incremental harvest.
+        :meth:`SweepEvent.to_record` turns an event into the JSON-ready
+        record of the experiment service's per-job event feed (see
+        :mod:`repro.service`) and of ``repro-run --stream``; most
+        in-process callers want :func:`stream_sweep`, which turns this
+        hook into a consumer iterator with running Pareto fronts.  An
+        exception raised by the callback aborts the sweep and propagates
+        -- every point already resolved has been cached (and, under
+        ``coordinate=True``, every claim still held is released), so an
+        aborted sweep resumes from the cache like a crashed one (this is
+        the service's cancellation hook).
     coordinate:
         Join this sweep's *claim party*: before executing a cache miss,
         atomically claim it through a claim file next to the cache entry
@@ -462,7 +451,11 @@ def run_sweep(
         and reap claims whose lease lapsed.  N processes -- or N hosts
         sharing the cache directory -- each calling ``run_sweep`` with
         ``coordinate=True`` collectively execute every point exactly
-        once and each return the complete, identical result.  Requires
+        once and each return the complete, identical result.  Claimed
+        points execute exactly as uncoordinated misses do (on the
+        supervised pool when ``sweep.point_workers > 1``).  The pass ends
+        by removing every lapsed claim on the grid's keys -- debris of
+        members killed after caching a point.  Requires
         ``use_cache=True``.
     claim_lease_seconds:
         Claim lease length under ``coordinate=True``: a claimant silent
@@ -490,11 +483,10 @@ def run_sweep(
     policy = RetryPolicy(
         point_timeout=point_timeout, max_retries=max_retries, backoff_base=backoff_base
     )
-    pooled = sweep.point_workers > 1 and registry is None
-    if point_timeout is not None and not pooled:
+    if point_timeout is not None and sweep.point_workers <= 1:
         raise ParameterError(
-            "point_timeout requires pooled execution (sweep.point_workers > 1 "
-            "and no custom registry): an in-process point cannot be preempted"
+            "point_timeout requires pooled execution (sweep.point_workers > 1): "
+            "an in-process point cannot be preempted"
         )
     the_cache: ResultCache | None = None
     if use_cache:
@@ -502,36 +494,15 @@ def run_sweep(
     evictions_before = the_cache.corrupt_evictions if the_cache is not None else 0
 
     points = sweep.points()
-    keys = [
-        cache_key(pt.spec, engine=resolved_engine(pt.spec, registry)) for pt in points
-    ]
+    keys = [cache_key(pt.spec, engine=resolved_engine(pt.spec)) for pt in points]
 
     outcomes: dict[int, SweepPointResult] = {}
 
     def notify(index: int) -> None:
-        # One JSON-ready progress record (and one live SweepEvent) per
-        # resolved point; a raising callback aborts the sweep
-        # (already-resolved points stay cached).
-        point = outcomes[index]
-        if progress is not None:
-            progress(
-                {
-                    "index": index,
-                    "total": len(points),
-                    "coordinates": {
-                        path: list(value) if isinstance(value, tuple) else value
-                        for path, value in point.coordinates.items()
-                    },
-                    "cache_key": point.cache_key,
-                    "cached": point.cached,
-                    "ok": point.ok,
-                    "attempts": point.attempts,
-                    "wall_time_seconds": point.wall_time_seconds,
-                    "error": None if point.error is None else point.error.to_dict(),
-                }
-            )
+        # One live SweepEvent per resolved point; a raising callback aborts
+        # the sweep (already-resolved points stay cached).
         if stream is not None:
-            stream(SweepEvent(index=index, total=len(points), point=point))
+            stream(SweepEvent(index=index, total=len(points), point=outcomes[index]))
 
     to_run: list[int] = []
     for index, (pt, key) in enumerate(zip(points, keys)):
@@ -616,8 +587,7 @@ def run_sweep(
                 [keys[index] for index in to_run],
                 cache=the_cache,
                 policy=policy,
-                point_workers=sweep.point_workers if pooled else 0,
-                registry=registry,
+                point_workers=sweep.point_workers,
                 lease_seconds=claim_lease_seconds,
                 poll_interval=claim_poll_interval,
                 on_executed=lambda position, outcome: record_executed(
@@ -631,8 +601,7 @@ def run_sweep(
             execute_supervised(
                 [points[index].spec for index in to_run],
                 policy=policy,
-                point_workers=sweep.point_workers if pooled else 0,
-                registry=registry,
+                point_workers=sweep.point_workers,
                 on_outcome=lambda position, outcome: record_executed(
                     to_run[position], outcome
                 ),
@@ -644,6 +613,15 @@ def run_sweep(
                 RuntimeWarning,
                 stacklevel=2,
             )
+
+    if coordinate:
+        # GC the claims of members killed after caching a point: nothing
+        # else removes them once every live member has resolved the point.
+        from repro.explore.distributed import ClaimStore
+
+        claims = ClaimStore.for_cache(the_cache)
+        for key in keys:
+            claims.cleanup_stale(key)
 
     point_results = tuple(outcomes[index] for index in range(len(points)))
     result = SweepResult(
@@ -694,6 +672,29 @@ class SweepEvent:
     point: SweepPointResult
     row: dict | None = None
     pareto: tuple[dict, ...] = ()
+
+    def to_record(self) -> dict:
+        """The JSON-ready per-point record: the body of the experiment
+        service's NDJSON ``point`` events and of ``repro-run --stream``.
+
+        Keys: ``index``, ``total``, ``coordinates``, ``cache_key``,
+        ``cached``, ``ok``, ``attempts``, ``wall_time_seconds``, ``error``.
+        """
+        point = self.point
+        return {
+            "index": self.index,
+            "total": self.total,
+            "coordinates": {
+                path: list(value) if isinstance(value, tuple) else value
+                for path, value in point.coordinates.items()
+            },
+            "cache_key": point.cache_key,
+            "cached": point.cached,
+            "ok": point.ok,
+            "attempts": point.attempts,
+            "wall_time_seconds": point.wall_time_seconds,
+            "error": None if point.error is None else point.error.to_dict(),
+        }
 
 
 class SweepStream:

@@ -37,7 +37,6 @@ import time
 from dataclasses import dataclass
 
 from repro import faults
-from repro.api.registry import BackendRegistry
 from repro.api.results import RunResult
 from repro.api.runner import run
 from repro.api.specs import ExperimentSpec
@@ -101,7 +100,6 @@ def execute_supervised(
     *,
     policy: RetryPolicy,
     point_workers: int = 0,
-    registry: BackendRegistry | None = None,
     on_outcome=None,
 ) -> list[PointOutcome]:
     """Execute independent point specs under supervision; never raises per point.
@@ -116,9 +114,6 @@ def execute_supervised(
         ``> 1`` executes on the supervised fork process pool (required for
         timeouts and crash isolation); otherwise points run in-process,
         in order, with the same retry semantics.
-    registry:
-        A caller-supplied registry forces in-process execution (it cannot
-        cross a process boundary); results are identical either way.
     on_outcome:
         Optional ``callback(index, outcome)`` invoked the moment each
         point resolves -- the hook :func:`~repro.explore.runner.run_sweep`
@@ -145,7 +140,7 @@ def execute_supervised(
             ),
         )
 
-    if point_workers > 1 and registry is None and specs:
+    if point_workers > 1 and specs:
         execute_pooled(
             _run_point_json,
             [(spec.to_json(),) for spec in specs],
@@ -156,20 +151,16 @@ def execute_supervised(
         )
     else:
         for index, spec in enumerate(specs):
-            record(index, execute_with_retry(spec, policy=policy, registry=registry))
+            record(index, execute_with_retry(spec, policy=policy))
     return outcomes  # type: ignore[return-value]
 
 
-def execute_with_retry(
-    spec: ExperimentSpec, *, policy: RetryPolicy, registry: BackendRegistry | None = None
-) -> PointOutcome:
+def execute_with_retry(spec: ExperimentSpec, *, policy: RetryPolicy) -> PointOutcome:
     """Run one fully-bound spec in-process under the retry policy.
 
-    The serial path of :func:`execute_supervised`, exposed so
-    claim-coordinated sweeps (:mod:`repro.explore.distributed`) can
-    re-execute a reaped point with exactly the same retry/backoff
-    semantics as every other point.  Timeouts are not enforceable
-    in-process, so :attr:`RetryPolicy.point_timeout` is ignored here.
+    The serial path of :func:`execute_supervised`.  Timeouts are not
+    enforceable in-process, so :attr:`RetryPolicy.point_timeout` is
+    ignored here.
     """
     key = faults.fault_key(spec.to_json())
     attempts = 0
@@ -178,7 +169,7 @@ def execute_with_retry(
         start = time.monotonic()
         try:
             faults.maybe_inject(faults.POINT_TRANSIENT, key, attempts)
-            result = run(spec, registry=registry)
+            result = run(spec)
         except Exception as error:  # noqa: BLE001 - any failure becomes a record
             attempts += 1
             elapsed += time.monotonic() - start

@@ -37,12 +37,12 @@ Fault **sites** are the places the library consults the harness:
                         generation attempts (exercises the link layer's
                         stall accounting; never raises, and inert for
                         deterministic link configurations).
-:data:`EXPLORE_CLAIM`   SIGKILL a distributed sweep worker right after
-                        it writes a claim file (exercises stale-lease
+:data:`EXPLORE_CLAIM`   SIGKILL a claim-party member right after it
+                        writes a claim file (exercises stale-lease
                         reaping and crash-resume of the shared-cache
                         claim protocol -- see
                         :mod:`repro.explore.distributed`; only consulted
-                        inside distributed worker processes).
+                        in processes flagged as claim-party peers).
 ================== ====================================================
 
 A :class:`FaultProfile` holds one rate per site plus the shared knobs.  A
@@ -269,7 +269,7 @@ PROFILES: dict[str, FaultProfile] = {
     # requeue and converge in both cases), and a quarter of stochastic
     # interconnect transfers absorb forced extra failed generation
     # attempts (the link layer degrades deterministically, never crashes),
-    # and a quarter of distributed sweep workers die right after claiming
+    # and a quarter of flagged claim-party peers die right after claiming
     # a point (stale-lease reaping must recover the claim exactly once).
     "chaos": FaultProfile(
         seed=20050, transient=0.25, corrupt=0.25, service=0.25, store=0.25,
@@ -393,8 +393,8 @@ def maybe_inject(site: str, key: str, attempt: int = 0) -> None:
     """Perform the ``site`` fault for ``key`` if the active profile selects it.
 
     * :data:`WORKER_CRASH` / :data:`EXPLORE_CLAIM` -- SIGKILL the calling
-      process (only reachable from pool worker processes and distributed
-      sweep workers respectively; the in-process execution path never
+      process (only reachable from pool worker processes and flagged
+      claim-party peers respectively; the in-process execution path never
       consults either site).
     * :data:`WORKER_HANG` -- sleep :attr:`FaultProfile.hang_seconds`, then
       return (the point proceeds; a per-point timeout is what kills it).

@@ -479,21 +479,6 @@ class RetryPolicy:
         return min(self.backoff_cap, self.backoff_base * self.backoff_factor ** (failed_attempts - 1))
 
 
-def _pool_context():
-    """The start method of every process the library spawns.
-
-    Fork is the cheap start method and safe on Linux.  On macOS forking a
-    process with Objective-C / threaded-BLAS state is unsafe (CPython
-    switched the macOS default to spawn for that reason), so everywhere else
-    the platform default is taken; pooled jobs are fully picklable, and
-    determinism only depends on their pinned seeds, never on the start
-    method.
-    """
-    if sys.platform.startswith("linux"):
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()  # pragma: no cover - non-Linux only
-
-
 class PoolJob:
     """Supervision state of one pooled job, handed to the ``resolve`` callback.
 
@@ -559,7 +544,16 @@ def execute_pooled(
     """
     if not jobs:
         return
-    context = _pool_context()
+    # Fork is the cheap start method and safe on Linux.  On macOS forking a
+    # process with Objective-C / threaded-BLAS state is unsafe (CPython
+    # switched the macOS default to spawn for that reason), so everywhere
+    # else the platform default is taken; pooled jobs are fully picklable,
+    # and determinism only depends on their pinned seeds, never on the
+    # start method.
+    if sys.platform.startswith("linux"):
+        context = multiprocessing.get_context("fork")
+    else:  # pragma: no cover - non-Linux only
+        context = multiprocessing.get_context()
     queue: deque[PoolJob] = deque(PoolJob(index, tuple(args)) for index, args in enumerate(jobs))
     in_flight: dict[object, PoolJob] = {}
     suspects: set[int] = set()  # job indices quarantined after a pool break

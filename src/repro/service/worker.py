@@ -6,7 +6,7 @@ executes it on the library's existing supervised execution path:
 
 * a **sweep** job runs through :func:`repro.explore.runner.run_sweep` --
   supervised pool (or in-process) execution, per-point retry with backoff,
-  incremental per-point cache writes -- with the runner's ``progress``
+  incremental per-point cache writes -- with the runner's ``stream``
   callback appending one event per resolved point to the job's durable
   event log (this is what ``GET /v1/jobs/{id}/events`` streams) and
   checking the cancellation flag between points;
@@ -46,7 +46,7 @@ from repro.api.runner import run
 from repro.api.specs import ExperimentSpec
 from repro.exceptions import QLAError
 from repro.explore.cache import ResultCache
-from repro.explore.runner import run_sweep
+from repro.explore.runner import SweepEvent, run_sweep
 from repro.explore.supervisor import RetryPolicy
 from repro.explore.sweep import SweepSpec
 from repro.service.metrics import ServiceMetrics
@@ -74,9 +74,6 @@ class JobWorker(threading.Thread):
         Retry knobs for *sweep points* (``point_timeout`` / ``max_retries``
         / ``backoff_base``) and the backoff schedule for job-level retries.
         Job-level attempt budgets come from each job's ``max_attempts``.
-    registry:
-        Optional custom backend registry (forces in-process point
-        execution, exactly as in :func:`~repro.explore.runner.run_sweep`).
     poll_interval:
         Idle sleep between queue polls when no job is queued.
     coordinate:
@@ -97,7 +94,6 @@ class JobWorker(threading.Thread):
         metrics: ServiceMetrics,
         *,
         policy: RetryPolicy | None = None,
-        registry=None,
         poll_interval: float = 0.05,
         name: str | None = None,
         coordinate: bool = False,
@@ -108,7 +104,6 @@ class JobWorker(threading.Thread):
         self.cache = cache
         self.metrics = metrics
         self.policy = policy if policy is not None else RetryPolicy()
-        self.registry = registry
         self.poll_interval = poll_interval
         self.coordinate = coordinate
         self.claim_lease_seconds = claim_lease_seconds
@@ -199,27 +194,25 @@ class JobWorker(threading.Thread):
     def _execute_sweep(self, job: JobRecord) -> None:
         sweep = SweepSpec.from_json(job.spec_json)
 
-        def progress(event: dict) -> None:
+        def on_point(event: SweepEvent) -> None:
             # Streamed from run_sweep's incremental harvest: one durable
             # event per resolved point, plus the cancellation checkpoint.
-            self.store.append_event(job.id, {"type": "point", **event})
-            self.metrics.record_point(event)
+            record = event.to_record()
+            self.store.append_event(job.id, {"type": "point", **record})
+            self.metrics.record_point(record)
             if self.store.cancel_requested(job.id):
                 raise JobCancelled(
-                    f"job {job.id} cancelled after point {event['index'] + 1}"
-                    f"/{event['total']}"
+                    f"job {job.id} cancelled after point {event.index + 1}/{event.total}"
                 )
 
-        pooled = sweep.point_workers > 1 and self.registry is None
         result = run_sweep(
             sweep,
-            registry=self.registry,
             cache=self.cache,
-            point_timeout=self.policy.point_timeout if pooled else None,
+            point_timeout=self.policy.point_timeout if sweep.point_workers > 1 else None,
             max_retries=self.policy.max_retries,
             backoff_base=self.policy.backoff_base,
             on_error="partial",
-            progress=progress,
+            stream=on_point,
             coordinate=self.coordinate,
             claim_lease_seconds=self.claim_lease_seconds,
         )
@@ -245,7 +238,7 @@ class JobWorker(threading.Thread):
             result = cached
             self.metrics.record_single(cached=True)
         else:
-            result = run(spec, registry=self.registry)
+            result = run(spec)
             self.cache.put(job.idempotency_key, result)
             self.metrics.record_single(
                 cached=False, wall_time_seconds=result.wall_time_seconds

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.api import (
+    BackendRegistry,
     ExecutionSpec,
     ExperimentSpec,
     MachineSpec,
@@ -345,6 +346,12 @@ class TestRunSweep:
         result = run(sweep)
         assert isinstance(result, SweepResult)
         assert len(result) == 2
+
+    def test_run_rejects_a_registry_for_sweep_specs(self):
+        # Sweeps execute against the process-wide registry only.
+        sweep = SweepSpec(base=machine_base(), axes=(SweepAxis("machine.bandwidth", (1,)),))
+        with pytest.raises(ParameterError, match="registry"):
+            run(sweep, registry=BackendRegistry())
 
     def test_worker_count_never_changes_results(self, cache):
         """Bit-identical replay of a sweep on a different worker count."""

@@ -1,29 +1,36 @@
 """Distributed sweep coordination: claims, leases, reaping, chaos.
 
-The contract under test (``docs/sweeps.md``): N workers sharing one cache
-directory coordinate purely through atomic claim files, execute every
-grid point **exactly once** between them, survive workers SIGKILLed
-mid-claim and mid-write via stale-lease reaping, and produce a merged
+The contract under test (``docs/sweeps.md``): N processes sharing one
+cache directory coordinate purely through atomic claim files, execute
+every grid point **exactly once** between them, survive members SIGKILLed
+mid-claim and mid-write via stale-lease reaping, and each return a
 ``SweepResult`` whose :meth:`~repro.explore.runner.SweepResult.value_digest`
 is bit-for-bit equal to a serial run's.
 
-Exactly-once is proved with an execution *ledger*: the supervisor's
-``run`` is wrapped to append one line per engine execution to an
-``O_APPEND`` file.  Fork-started worker processes inherit the wrapper, so
-the ledger counts executions across the whole party -- if any point ran
-twice anywhere, the ledger has more lines than the grid has points.
+Multi-process scenarios use a test-local peer harness (:func:`run_peers`):
+it forks N processes that each call ``run_sweep(coordinate=True)`` over one
+cache, standing in for the N hosts of a real party.  Exactly-once is proved
+with an execution *ledger*: the supervisor's ``run`` is wrapped to append
+one line per engine execution to an ``O_APPEND`` file.  Forked peers
+inherit the wrapper, so the ledger counts executions across the whole
+party -- if any point ran twice anywhere, the ledger has more lines than
+the grid has points.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import multiprocessing
 import os
+import signal
 import threading
 import time
 
 import pytest
 
 from repro import faults
+from repro.api.cli import main as cli_main
 from repro.api.runner import run as api_run
 from repro.api.specs import (
     ExecutionSpec,
@@ -34,12 +41,8 @@ from repro.api.specs import (
 )
 from repro.exceptions import ParameterError
 from repro.explore.cache import ResultCache, cache_key
-from repro.explore.distributed import (
-    ClaimRecord,
-    ClaimStore,
-    run_sweep_distributed,
-)
-from repro.explore.runner import resolved_engine, run_sweep
+from repro.explore.distributed import WORKER_FLAG_ENV, ClaimRecord, ClaimStore
+from repro.explore.runner import SweepResult, resolved_engine, run_sweep
 from repro.explore.sweep import SweepAxis, SweepSpec
 
 
@@ -66,7 +69,7 @@ def small_sweep(seed: int = 7) -> SweepSpec:
 
 def sweep_keys(sweep: SweepSpec) -> list[str]:
     return [
-        cache_key(point.spec, engine=resolved_engine(point.spec, None))
+        cache_key(point.spec, engine=resolved_engine(point.spec))
         for point in sweep.points()
     ]
 
@@ -78,7 +81,7 @@ def cache(tmp_path) -> ResultCache:
 
 @pytest.fixture
 def ledger(tmp_path, monkeypatch):
-    """Count engine executions across this process *and* forked workers.
+    """Count engine executions across this process *and* forked peers.
 
     Wraps the supervisor's ``run`` with an ``O_APPEND`` file logger; the
     append is atomic per line, fork children inherit the wrapper, and the
@@ -89,14 +92,14 @@ def ledger(tmp_path, monkeypatch):
     path = tmp_path / "executions.ledger"
     real_run = supervisor.run
 
-    def logged_run(spec, *, registry=None):
+    def logged_run(spec):
         line = faults.fault_key(spec.to_json()) + "\n"
         handle = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
             os.write(handle, line.encode("ascii"))
         finally:
             os.close(handle)
-        return real_run(spec, registry=registry)
+        return real_run(spec)
 
     monkeypatch.setattr(supervisor, "run", logged_run)
 
@@ -106,6 +109,68 @@ def ledger(tmp_path, monkeypatch):
         return path.read_text().splitlines()
 
     return read
+
+
+def _peer_main(sweep, cache_dir, digest_path, lease_seconds, poll_interval) -> None:
+    """One forked claim-party peer: the stand-in for one host of a party."""
+    # Arm the explore.claim kill site, exactly as for any flagged peer.
+    os.environ[WORKER_FLAG_ENV] = "1"
+    result = run_sweep(
+        sweep,
+        cache=ResultCache(cache_dir),
+        coordinate=True,
+        claim_lease_seconds=lease_seconds,
+        claim_poll_interval=poll_interval,
+    )
+    with open(digest_path, "w") as stream:
+        stream.write(result.value_digest())
+
+
+def run_peers(
+    sweep: SweepSpec,
+    cache: ResultCache,
+    num_peers: int,
+    *,
+    lease_seconds: float = 30.0,
+    poll_interval: float = 0.01,
+) -> list[tuple[int, str | None]]:
+    """Fork ``num_peers`` processes that each run ``sweep`` with
+    ``coordinate=True`` over ``cache``; wait for all of them.
+
+    Returns one ``(exit code, value digest)`` pair per peer; a peer killed
+    before it finished reports its signal as a negative exit code and no
+    digest.  Forked peers inherit the ledger wrapper and any programmatic
+    fault profile of the test process.
+    """
+    context = multiprocessing.get_context("fork")
+    digests = [cache.directory.parent / f"peer-{index}.digest" for index in range(num_peers)]
+    peers = [
+        context.Process(
+            target=_peer_main,
+            args=(sweep, str(cache.directory), str(path), lease_seconds, poll_interval),
+        )
+        for path in digests
+    ]
+    for peer in peers:
+        peer.start()
+    deadline = time.monotonic() + 120.0
+    for peer in peers:
+        peer.join(timeout=max(deadline - time.monotonic(), 0.0))
+    hung = [peer for peer in peers if peer.is_alive()]
+    for peer in hung:
+        peer.kill()
+        peer.join()
+    assert not hung, f"{len(hung)} of {num_peers} peers did not finish within 120 s"
+    outcomes = []
+    for peer, path in zip(peers, digests):
+        digest = path.read_text() if path.exists() else None
+        path.unlink(missing_ok=True)
+        outcomes.append((peer.exitcode, digest))
+    return outcomes
+
+
+def claim_files(cache: ResultCache) -> list:
+    return list((cache.directory / "claims").glob("*.claim"))
 
 
 class TestClaimStore:
@@ -183,14 +248,6 @@ class TestClaimStore:
         assert store.cleanup_stale(key) is True
         assert store.read(key) is None
 
-    def test_cleanup_removes_fresh_claims_of_exited_workers(self, tmp_path):
-        store = ClaimStore(tmp_path, worker="host:41:token", lease_seconds=5.0)
-        key = "9a" * 32
-        store.acquire(key)
-        assert store.cleanup_stale(key, exited_workers=("host:4:", "other:41:")) is False
-        assert store.cleanup_stale(key, exited_workers=("host:41:",)) is True
-        assert store.read(key) is None
-
     def test_reap_verifies_it_renamed_the_stale_claim(self, tmp_path, monkeypatch):
         # Regression: two reapers race on one stale claim.  B reaps it and
         # re-creates a live gen-1 claim between C's read and C's rename;
@@ -264,8 +321,7 @@ class TestCoordinatedRunSweep:
         assert coordinated.value_digest() == serial.value_digest()
         assert coordinated.cache_misses == len(sweep.points())
         # Claims were all released.
-        claims_dir = tmp_path / "coord" / "claims"
-        assert not list(claims_dir.glob("*.claim"))
+        assert not claim_files(ResultCache(tmp_path / "coord"))
 
     def test_dead_workers_stale_claim_is_reclaimed_not_double_executed(
         self, cache, ledger
@@ -289,6 +345,24 @@ class TestCoordinatedRunSweep:
             faults.fault_key(point.spec.to_json()) for point in sweep.points()
         ), "every point must execute exactly once, including the reaped one"
         assert not list(dead.directory.glob("*.claim"))
+
+    @pytest.mark.parametrize("point_workers", [0, 2])
+    def test_aborted_pass_releases_its_claims(self, cache, point_workers):
+        # A raising per-point callback (the service's cancel checkpoint, a
+        # closed SweepStream) aborts the coordinated pass.  The claims it
+        # still holds -- including one on a point executed but never cached
+        # -- must be released, not left for peers to wait a lease on.
+        sweep = dataclasses.replace(small_sweep(seed=25), point_workers=point_workers)
+
+        class Abort(Exception):
+            pass
+
+        def abort(event) -> None:
+            raise Abort(f"abort at point {event.index}")
+
+        with pytest.raises(Abort):
+            run_sweep(sweep, cache=cache, coordinate=True, stream=abort)
+        assert not claim_files(cache)
 
     def test_live_peers_claim_is_honoured_and_its_result_reused(
         self, cache, ledger
@@ -331,40 +405,50 @@ class TestDistributedRun:
     def test_four_workers_split_the_grid_exactly_once(self, cache, ledger):
         sweep = small_sweep(seed=21)
         # The serial reference runs first (through the same ledger wrapper),
-        # so only the lines after this snapshot belong to the workers.
+        # so only the lines after this snapshot belong to the peers.
         serial = run_sweep(sweep, cache=ResultCache(cache.directory.parent / "s"))
         before = len(ledger())
-        with faults.no_faults():
-            dist = run_sweep_distributed(
-                sweep, num_workers=4, cache=cache, lease_seconds=30.0,
-                poll_interval=0.01,
-            )
-        assert dist.result.value_digest() == serial.value_digest()
-        assert dist.surviving_workers == 4
-        # Exactly-once across the whole party, by the ledger...
+        peers = run_peers(sweep, cache, 4)
+        # Every peer returned the complete, serial-identical result ...
+        assert peers == [(0, serial.value_digest())] * 4
+        # ... and the party executed every point exactly once, by the ledger.
         assert sorted(ledger()[before:]) == sorted(
             faults.fault_key(point.spec.to_json()) for point in sweep.points()
         )
-        # ... and by the workers' own accounting; the merge replays only.
-        assert dist.executed_by_workers == len(sweep.points())
-        assert dist.result.cache_misses == 0
-        assert not list((cache.directory / "claims").glob("*.claim"))
+        # A coordinated pass after the party only replays.
+        merged = run_sweep(sweep, cache=cache, coordinate=True)
+        assert merged.cache_misses == 0
+        assert merged.value_digest() == serial.value_digest()
+        assert not claim_files(cache)
 
-    def test_warm_replay_is_all_cache_hits(self, cache):
+    def test_warm_replay_is_all_cache_hits(self, cache, ledger):
         sweep = small_sweep(seed=22)
-        with faults.no_faults():
-            run_sweep_distributed(sweep, num_workers=2, cache=cache)
-            again = run_sweep_distributed(sweep, num_workers=2, cache=cache)
-        assert again.result.cache_misses == 0
-        assert again.executed_by_workers == 0
+        run_peers(sweep, cache, 2)
+        before = len(ledger())
+        assert [code for code, _ in run_peers(sweep, cache, 2)] == [0, 0]
+        assert ledger()[before:] == []
+        assert run_sweep(sweep, cache=cache, coordinate=True).cache_misses == 0
 
-    def test_rejects_bad_arguments(self, cache):
-        with pytest.raises(ParameterError, match="SweepSpec"):
-            run_sweep_distributed(machine_base(), cache=cache)
-        with pytest.raises(ParameterError, match="num_workers"):
-            run_sweep_distributed(small_sweep(), num_workers=0, cache=cache)
-        with pytest.raises(ParameterError, match="registry"):
-            run_sweep_distributed(small_sweep(), registry=object(), cache=cache)
+    def test_cli_distributed_combines_with_point_timeout(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # --distributed N is the sweep's pool width, so the pool's per-point
+        # timeout applies to it like to any pooled sweep.
+        sweep = small_sweep(seed=26)
+        serial = run_sweep(sweep, cache=ResultCache(tmp_path / "serial"))
+        path = tmp_path / "sweep.json"
+        path.write_text(sweep.to_json())
+        out = tmp_path / "result.json"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        code = cli_main(
+            [str(path), "--distributed", "2", "--point-timeout", "60",
+             "-o", str(out), "--quiet"]
+        )
+        assert code == 0, capsys.readouterr().err
+        result = SweepResult.from_json(out.read_text())
+        assert result.sweep.point_workers == 2
+        assert result.cache_misses == len(sweep.points())
+        assert result.value_digest() == serial.value_digest()
 
 
 def chaos_claim_profile(sweep: SweepSpec) -> faults.FaultProfile:
@@ -401,12 +485,12 @@ class TestChaosRecovery:
     def test_sigkilled_workers_are_reaped_and_the_merge_matches_serial(
         self, tmp_path, ledger
     ):
-        # The headline chaos scenario: 4 workers share one cache dir, one
-        # is SIGKILLed right after claiming a point (its claim must go
-        # stale and be reaped) and another right after writing a result
-        # (waiters must resolve from the cache and GC the orphan claim).
-        # The merged result must be bit-for-bit equal to the serial run,
-        # and no point may execute twice.
+        # The headline chaos scenario: 4 peers share one cache dir, one is
+        # SIGKILLed right after claiming a point (its claim must go stale
+        # and be reaped) and another right after writing a result (waiters
+        # must resolve from the cache, and the leftover claim must be
+        # collected).  Every surviving peer's result must be bit-for-bit
+        # equal to the serial run, and no point may execute twice.
         sweep = small_sweep(seed=23)
         profile = chaos_claim_profile(sweep)
         serial = run_sweep(sweep, cache=ResultCache(tmp_path / "serial"))
@@ -414,26 +498,25 @@ class TestChaosRecovery:
 
         cache = ResultCache(tmp_path / "shared")
         with faults.fault_profile(profile):
-            dist = run_sweep_distributed(
-                sweep, num_workers=4, cache=cache,
-                lease_seconds=0.5, poll_interval=0.02,
-            )
+            peers = run_peers(sweep, cache, 4, lease_seconds=0.5, poll_interval=0.02)
 
-        assert dist.result.value_digest() == serial.value_digest()
-        # Two workers died by SIGKILL (mid-claim and mid-write): they leave
-        # no report.  The party still covers the grid.
-        assert dist.surviving_workers <= 2
-        dead = [w for w in dist.workers if not w.survived]
-        assert len(dead) >= 2
-        assert all(report.exit_code != 0 for report in dead)
+        # Exactly two peers died by SIGKILL (mid-claim and mid-write); the
+        # survivors covered the grid between them.
+        assert sorted(code for code, _ in peers) == [-signal.SIGKILL] * 2 + [0, 0]
+        assert [digest for code, digest in peers if code == 0] == [serial.value_digest()] * 2
         # Exactly-once, party-wide: the mid-claim victim died *before*
         # executing (its point ran once, in its reaper); the mid-write
         # victim died *after* executing (its point ran once, in it).
         assert sorted(ledger()[before:]) == sorted(
             faults.fault_key(point.spec.to_json()) for point in sweep.points()
         )
-        # No claim debris survives the merge.
-        assert not list((cache.directory / "claims").glob("*.claim"))
+        # Once the victims' lease has lapsed, one coordinated pass replays
+        # the grid and leaves no claim debris behind.
+        time.sleep(0.6)
+        merged = run_sweep(sweep, cache=cache, coordinate=True, claim_lease_seconds=0.5)
+        assert merged.cache_misses == 0
+        assert merged.value_digest() == serial.value_digest()
+        assert not claim_files(cache)
 
     @pytest.mark.no_chaos
     def test_chaos_merge_replays_warm_with_zero_misses(self, tmp_path):
@@ -441,10 +524,7 @@ class TestChaosRecovery:
         profile = chaos_claim_profile(sweep)
         cache = ResultCache(tmp_path / "shared")
         with faults.fault_profile(profile):
-            run_sweep_distributed(
-                sweep, num_workers=4, cache=cache,
-                lease_seconds=0.5, poll_interval=0.02,
-            )
+            run_peers(sweep, cache, 4, lease_seconds=0.5, poll_interval=0.02)
         replay = run_sweep(sweep, cache=cache)
         assert replay.cache_misses == 0
 
